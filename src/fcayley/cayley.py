@@ -47,7 +47,7 @@ BASE_VALUES = {
     "x0": fgroup.X0,
     "x1": fgroup.X1,
     "xb1": fgroup.generator_xbar1(),
-    "x2": fgroup.generator_x2(),
+    "x2": fgroup.generator_x(2),
 }
 
 
@@ -266,7 +266,8 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
     size = len(aut)
     density = Fraction(2 * m * size - cheeger, size)
     iota = Fraction(cheeger, size)
-    assert density + iota == 2 * m
+    if density + iota != 2 * m:
+        raise AssertionError(f"delta + iota = {density + iota} != 2m = {2 * m}")
     outer = len(aut.outer) if aut.outer is not None else None
     return BoundaryReport(size=size, nu=nu, inner_boundary=inner,
                           outer_boundary=outer, cheeger=cheeger,
@@ -350,6 +351,12 @@ def automaton_to_obj(aut: Automaton) -> dict:
     return obj
 
 
+def is_edge_entry(entry) -> bool:
+    """A `[source, letter, target]` triple of strings, as files list edges."""
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and all(isinstance(x, str) for x in entry))
+
+
 def automaton_from_obj(obj: dict) -> Automaton:
     try:
         symbols = list(obj["alphabet"])
@@ -357,10 +364,18 @@ def automaton_from_obj(obj: dict) -> Automaton:
         edges = list(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise AutomatonFormatError(f"missing automaton field: {exc}") from None
+    if not all(isinstance(v, str) for v in vertices):
+        raise AutomatonFormatError("vertex keys must be strings")
     values_obj = obj.get("values")
     values = None
     if values_obj:
-        values = {s: element_from_key(k) for s, k in values_obj.items()}
+        if not (isinstance(values_obj, dict)
+                and all(isinstance(k, str) for k in values_obj.values())):
+            raise AutomatonFormatError("values must map symbols to 'domain|range' keys")
+        try:
+            values = {s: element_from_key(k) for s, k in values_obj.items()}
+        except ValueError as exc:
+            raise AutomatonFormatError(str(exc)) from None
     alphabet = GenAlphabet(symbols, values)
     letters = set(alphabet.letters())
     if len(set(vertices)) != len(vertices):
@@ -381,7 +396,7 @@ def automaton_from_obj(obj: dict) -> Automaton:
         slots[src][lab] = dst
 
     for entry in edges:
-        if len(entry) != 3:
+        if not is_edge_entry(entry):
             raise AutomatonFormatError(f"bad edge entry {entry!r}")
         u, a, w = entry
         if a not in letters:

@@ -11,6 +11,7 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import sys
 
 from . import counting, evac, forests
@@ -76,6 +77,8 @@ def cmd_ball(args) -> int:
 def cmd_bb(args) -> int:
     alphabet = make_alphabet(args.alphabet)
     if args.mode == "count":
+        if args.format == "csv":
+            raise ValueError("--format csv needs --mode enumerate")
         rec = counting.density_report(args.n, args.k, alphabet.symbols)
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
@@ -108,11 +111,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
     """Density/xi/p records over a (k, n, alphabet) grid, ordered as nested loops."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     jobs = [(k, n, spec) for k in k_values for n in n_values for spec in alphabet_specs]
-    if threads > 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=threads) as pool:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, jobs))
     return [_sweep_one(job) for job in jobs]
 
@@ -153,8 +159,6 @@ def cmd_sweep(args) -> int:
         if not args.out:
             raise ValueError("--format csv needs --out")
         _sweep_csv(records, args.out)
-        if not args.no_timestamp:
-            pass  # CSV output carries no timestamp field
     else:
         _write_json({"command": "sweep",
                      "records": [rec.as_obj() for rec in records]},
@@ -225,57 +229,58 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fcayley",
         description="Cayley-graph boundary analysis and evacuation schemes "
                     "for Thompson's group F")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output file (default: stdout for reports)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--budget", type=int, default=forests.DEFAULT_BUDGET,
-                        help="enumeration budget (number of forests)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker pool size (default 1, reproducible)")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp field for byte-identical output")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ball", parents=[common],
-                       help="Cayley ball around the identity")
+    def output(p, what: str) -> None:
+        p.add_argument("--out", help=what)
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp field for byte-identical output")
+
+    p = sub.add_parser("ball", help="Cayley ball around the identity")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alphabet", default="x0,x1",
                    help="comma-separated tokens from {x0, x1, xb1, x2}")
     p.add_argument("--report", help="write the boundary report to this path")
+    output(p, "write the automaton to this path")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("bb", parents=[common],
-                       help="Brown-Belk set BB(n, k) as automaton or DP record")
+    p = sub.add_parser("bb", help="Brown-Belk set BB(n, k) as automaton or DP record")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alphabet", default="x0,x1")
     p.add_argument("--mode", choices=("enumerate", "count"), default="count")
     p.add_argument("--report", help="write the boundary report to this path")
+    p.add_argument("--budget", type=int, default=forests.DEFAULT_BUDGET,
+                   help="enumeration budget (number of forests)")
+    output(p, "write the automaton (enumerate) or the record (count) to this path")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bb)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="density / xi / p sweep over a (k, n, alphabet) grid")
+    p = sub.add_parser("sweep", help="density / xi / p sweep over a (k, n, alphabet) grid")
     p.add_argument("--k", required=True, help="comma list or lo:hi ranges, e.g. 2,4,6:8")
     p.add_argument("--n", required=True, help="comma list or lo:hi ranges")
     p.add_argument("--alphabets", default="x0,x1",
                    help="semicolon-separated alphabet specs")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1; at most the CPU count)")
+    output(p, "write the records to this path (default: stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("evac", parents=[common],
-                       help="solve for an evacuation scheme on a saved automaton")
+    p = sub.add_parser("evac", help="solve for an evacuation scheme on a saved automaton")
     p.add_argument("--automaton", required=True)
     p.add_argument("--K", type=int, default=1)
+    output(p, "write the scheme or witness to this path (default: stdout)")
     p.set_defaults(func=cmd_evac)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="verify a flow certificate against a saved automaton")
+    p = sub.add_parser("certify", help="verify a flow certificate against a saved automaton")
     p.add_argument("--automaton", required=True)
     p.add_argument("--cert", required=True)
+    output(p, "write the verdict to this path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the built-in sanity battery")
+    p = sub.add_parser("selftest", help="run the built-in sanity battery")
     p.set_defaults(func=cmd_selftest)
     return parser
 

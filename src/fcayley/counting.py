@@ -1,27 +1,53 @@
 """Exact big-integer counting for Brown-Belk sets and their boundary data.
 
-Everything reduces to four arrays per height cap k (f, F, S, M below) plus
-convolutions with short sequences, so the pipeline scales to n in the
-thousands where explicit enumeration is hopeless.  All ratios are exact
-Fractions; decimals appear only in rendered output.
+Per height cap k there are two series and three short polynomials:
 
-  f[l]  trees with l leaves, height <= k       f[1] = 1,
-                                               f[l] = sum f'[i] f'[l-i] over
-                                               children of height <= k-1
-  F[n]  forests with n leaves (F[0] = 1)       F = 1 + f*F
-  S[n]  pairs of forests, total n leaves       S = F*F = F + f*S
-  M[n]  marked forests = |BB(n, k)|            M = f*S = S - F
+  f      trees with height <= k by leaves    f = x + f_(k-1)^2, degree <= 2^k
+  F      forests, F = 1/(1-f)                F[n] = [x^n] F, F[0] = 1
+  S      pairs of forests, S = 1/(1-f)^2     M = S - F = f S: marked forests
+  h      f_(k-1)^2: two adjacent trees of height < k
+  gg     g^2, g = f - f_(k-1): two trees of height exactly k
 
-A tree of height k has at most 2^k leaves, so f has finite support and all
-recurrences cost O(n * min(n, 2^k)) big-integer operations.
+Every count is a coefficient [x^m] P(x)/(1-f(x))^j, read off by one
+routine, `_coef(P, series, m)` = sum of P[l] * series[m-l]:
+
+  quantity                 value                  P     j
+  |BB(n, k)|               M[n] = S[n] - F[n]     1     2, 1
+  nu(x0), nu(x0^-1)        F[n]                   1     1
+  nu(x1), nu(xb1)          S[n-1]                 1     2
+  nu(x1^-1), nu(xb1^-1)    M[n] - [x^n] h S       h     2
+  nu(x2)                   F[n] + M[n-1]          1     1, 2
+  nu(x2^-1)                M[n] - [x^n] h M       h     2, 1
+  |Y0(n, k)|               [x^(n-1)] gg S         gg    2
+  xi_k(n)                  M[n-1] / M[n]          1     2, 1
+
+A tree of height k has at most 2^k leaves, so F and S cost O(n min(n, 2^k))
+big-integer operations and each count O(min(n, 2^k)): n in the thousands,
+far past enumeration.  Ratios are exact Fractions; decimals appear only in
+rendered output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 from .cayley import INV, base_symbol
+
+
+def _coef(P: list[int], series: list[int], n: int) -> int:
+    """[x^n] P(x) * series(x): the sum of P[l] * series[n-l] over the l
+    where both entries exist."""
+    lo = max(0, n - len(series) + 1)
+    hi = min(n, len(P) - 1)
+    return sum(map(mul, P[lo:hi + 1], reversed(series[n - hi:n - lo + 1])))
+
+
+def _square(P: list[int], cap: int) -> list[int]:
+    """P(x)^2 truncated after x^cap."""
+    return [_coef(P, P, l) for l in range(min(2 * len(P) - 1, cap + 1))]
 
 
 def tree_counts(k: int, max_leaves: int) -> list[int]:
@@ -34,127 +60,49 @@ def tree_counts(k: int, max_leaves: int) -> list[int]:
     if k == 0:
         return f
     lower = tree_counts(k - 1, min(max_leaves, 2 ** (k - 1)))
-    top = min(max_leaves, 2 ** k)
-    for l in range(2, top + 1):
-        acc = 0
-        for i in range(max(1, l - len(lower) + 1), min(l - 1, len(lower) - 1) + 1):
-            acc += lower[i] * lower[l - i]
-        f[l] = acc
+    for l in range(2, min(max_leaves, 2 ** k) + 1):
+        f[l] = _coef(lower, lower, l)
     return f
 
 
-def _support(seq: list[int]) -> list[int]:
-    return [i for i, v in enumerate(seq) if v]
-
-
-def _conv_short(a: list[int], b: list[int], cap: int) -> list[int]:
-    """Full convolution of two short sequences, truncated at index cap."""
-    out = [0] * (cap + 1)
-    for i in _support(a):
-        ai = a[i]
-        for j in _support(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _conv_with(series: list[int], short: list[int], n_max: int) -> list[int]:
-    """(short * series)[0..n_max] where short has small support."""
-    sup = _support(short)
-    out = [0] * (n_max + 1)
-    for n in range(n_max + 1):
-        acc = 0
-        for l in sup:
-            if l > n:
-                break
-            acc += short[l] * series[n - l]
-        out[n] = acc
-    return out
-
-
 class CountTable:
-    """All counting arrays for one height cap, built up to a leaf budget."""
+    """The series F and S of one height cap up to n_max leaves, and the
+    short polynomials f, h and gg that the counts multiply them by."""
 
     def __init__(self, k: int, n_max: int):
         self.k = k
         self.n_max = n_max
-        cap = min(n_max, 2 ** k) if k < 64 else n_max
-        self.f = tree_counts(k, cap)
-        self.f += [0] * (n_max + 1 - len(self.f))
-        # trees the merge moves may produce children from: height <= k-1
-        low_cap = min(n_max, 2 ** (k - 1)) if k >= 1 else 0
-        self.f_lower = tree_counts(k - 1, low_cap) if k >= 1 else [0] * 1
-        self.F = self._forest_series()
-        self.S = self._pair_series()
-        self.M = [s - f for s, f in zip(self.S, self.F)]
-        self._ax1: list[int] | None = None
-        self._ax2: list[int] | None = None
-        self._y0: list[int] | None = None
+        self.f = tree_counts(k, min(n_max, 2 ** k))
+        # the merge moves take their children from trees of height <= k-1
+        lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k >= 1 else [0]
+        self.h = _square(lower, n_max)
+        g = [a - b for a, b in zip_longest(self.f, lower, fillvalue=0)]
+        self.gg = _square(g, n_max)
+        self.F = [1]
+        for n in range(1, n_max + 1):
+            self.F.append(_coef(self.f, self.F, n))
+        self.S = [1]
+        for n in range(1, n_max + 1):
+            self.S.append(self.F[n] + _coef(self.f, self.S, n))
 
-    def _forest_series(self) -> list[int]:
-        f, N = self.f, self.n_max
-        sup = _support(f)
-        F = [0] * (N + 1)
-        F[0] = 1
-        for n in range(1, N + 1):
-            acc = 0
-            for l in sup:
-                if l > n:
-                    break
-                acc += f[l] * F[n - l]
-            F[n] = acc
-        return F
-
-    def _pair_series(self) -> list[int]:
-        f, F, N = self.f, self.F, self.n_max
-        sup = _support(f)
-        S = [0] * (N + 1)
-        for n in range(N + 1):
-            acc = F[n]
-            for l in sup:
-                if l > n:
-                    break
-                acc += f[l] * S[n - l]
-            S[n] = acc
-        return S
-
-    def accepts_x1_inv(self) -> list[int]:
-        """Forests whose marked tree has a right neighbour, both heights < k."""
-        if self._ax1 is None:
-            h = _conv_short(self.f_lower, self.f_lower, self.n_max)
-            self._ax1 = _conv_with(self.S, h, self.n_max)
-        return self._ax1
-
-    def accepts_x2_inv(self) -> list[int]:
-        """Forests with two trees right of the marker, both heights < k."""
-        if self._ax2 is None:
-            self._ax2 = _conv_with(self.accepts_x1_inv(), self.f, self.n_max)
-        return self._ax2
-
-    def y0(self) -> list[int]:
-        """Marked trivial tree flanked by trees of height exactly k (index n-1)."""
-        if self._y0 is None:
-            if self.k < 1:
-                self._y0 = [0] * (self.n_max + 1)
-            else:
-                g = list(self.f)  # trees of height exactly k
-                for i in range(min(len(g), len(self.f_lower))):
-                    g[i] -= self.f_lower[i]
-                gg = _conv_short(g, g, self.n_max)
-                self._y0 = _conv_with(self.S, gg, self.n_max)
-        return self._y0
+    def marked(self, n: int) -> int:
+        """M[n] = S[n] - F[n] = |BB(n, k)|."""
+        return self.S[n] - self.F[n]
 
 
-_tables: dict[int, CountTable] = {}
+TABLES_KEPT = 16  # height caps whose tables stay cached
+_tables: dict[int, CountTable] = {}  # least recently used first
 
 
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap, grown on demand."""
-    t = _tables.get(k)
+    """Shared table for a height cap, rebuilt with at least twice the leaf
+    budget when n outgrows it."""
+    t = _tables.pop(k, None)
     if t is None or t.n_max < n:
         t = CountTable(k, max(n, 2 * t.n_max if t else n))
-        _tables[k] = t
+    _tables[k] = t
+    if len(_tables) > TABLES_KEPT:
+        del _tables[next(iter(_tables))]
     return t
 
 
@@ -162,16 +110,17 @@ def bb_count(n: int, k: int) -> int:
     """|BB(n, k)| as an exact integer."""
     if n < 1:
         raise ValueError("n must be positive")
-    return table(k, n).M[n]
+    return table(k, n).marked(n)
 
 
 def y0_count(n: int, k: int) -> int:
+    """|Y0(n, k)|: a marked trivial tree between two trees of height exactly k."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 1:
         return 0
     t = table(k, n)
-    return t.y0()[n - 1] if n >= 1 else 0
+    return _coef(t.gg, t.S, n - 1)
 
 
 def p_fraction(n: int, k: int) -> Fraction:
@@ -179,37 +128,35 @@ def p_fraction(n: int, k: int) -> Fraction:
     return Fraction(y0_count(n, k), bb_count(n, k))
 
 
-SUPPORTED = ("x0", "x1", "xb1", "x2")
-
-
 def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     """Exact per-letter counts of vertices of BB(n, k) not accepting the letter.
 
-    Each convolution follows the acceptance rule of its own letter; the
-    symmetric property nu(a) = nu(a^-1) is a theorem about Cayley subgraphs,
-    so it comes out of these independent formulas as a cross-check rather
-    than being assumed.
+    Each count follows the acceptance rule of its own letter; the symmetric
+    property nu(a) = nu(a^-1) is a theorem about Cayley subgraphs, so it
+    comes out of these independent formulas as a cross-check rather than
+    being assumed.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     t = table(k, n)
-    M_n, F_n = t.M[n], t.F[n]
-    M_prev = t.M[n - 1] if n >= 1 else 0
-    S_prev = t.S[n - 1] if n >= 1 else 0
+    F, S, M = t.F, t.S, t.marked
+    hS = _coef(t.h, S, n)
+    hM = hS - _coef(t.h, F, n)
+    by_base = {
+        # marker leftmost / rightmost
+        "x0": (F[n], F[n]),
+        # marked tree trivial / no right neighbour to merge with
+        "x1": (S[n - 1], M(n) - hS),
+        # no or a trivial right neighbour / no two right neighbours to merge
+        "x2": (F[n] + M(n - 1), M(n) - hM),
+    }
+    by_base["xb1"] = by_base["x1"]
     out: dict[str, int] = {}
     for sym in symbols:
         base = base_symbol(sym)
-        if base not in SUPPORTED:
+        if base not in by_base:
             raise ValueError(f"unsupported letter {sym!r}")
-        if base == "x0":
-            pos = F_n          # marker leftmost
-            neg = F_n          # marker rightmost
-        elif base in ("x1", "xb1"):
-            pos = S_prev       # marked tree trivial
-            neg = M_n - t.accepts_x1_inv()[n]
-        else:  # x2
-            pos = F_n + M_prev  # no right neighbour, or a trivial one
-            neg = M_n - t.accepts_x2_inv()[n]
-        out[sym] = pos
-        out[sym + INV] = neg
+        out[sym], out[sym + INV] = by_base[base]
     return out
 
 
@@ -256,7 +203,8 @@ def density_report(n: int, k: int, symbols) -> DensityRecord:
     cheeger = sum(nu.values())
     density = Fraction(2 * m * size - cheeger, size)
     iota = Fraction(cheeger, size)
-    assert density + iota == 2 * m
+    if density + iota != 2 * m:
+        raise AssertionError(f"delta + iota = {density + iota} != 2m = {2 * m}")
     return DensityRecord(
         n=n, k=k,
         alphabet=",".join(base_symbol(s) for s in symbols),
@@ -271,7 +219,7 @@ def xi_estimate(k: int, n: int) -> Fraction:
     if n < 2:
         raise ValueError("need n >= 2")
     t = table(k, n)
-    return Fraction(t.M[n - 1], t.M[n])
+    return Fraction(t.marked(n - 1), t.marked(n))
 
 
 def xi_diagnostics(k: int, n: int) -> dict:

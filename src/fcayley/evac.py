@@ -27,6 +27,7 @@ from .cayley import (
     AutomatonFormatError,
     GenAlphabet,
     base_symbol,
+    is_edge_entry,
     letter_inverse,
     letter_symbol,
 )
@@ -70,6 +71,10 @@ def scheme_from_obj(obj: dict) -> EvacScheme:
         raw = obj["paths"]
     except (KeyError, TypeError, ValueError) as exc:
         raise AutomatonFormatError(f"bad scheme object: {exc}") from None
+    if not (isinstance(raw, dict) and all(
+            isinstance(path, (list, tuple)) and all(map(is_edge_entry, path))
+            for path in raw.values())):
+        raise AutomatonFormatError("scheme paths must map vertices to [u, letter, v] lists")
     paths = {v: tuple(tuple(e) for e in path) for v, path in raw.items()}
     return EvacScheme(K=K, paths=paths)
 
@@ -212,7 +217,11 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
         net.add_arc(index[v], sink, n + 1)
     value = net.max_flow(source, sink)
     if value < n:
-        return SolveResult(False, None, _extract_witness(aut, net, edge_arcs, index))
+        witness = _extract_witness(aut, net, edge_arcs, index)
+        if not K * witness.cheeger < len(witness.Z):
+            raise AssertionError("witness fails the Hall inequality: "
+                                 f"{K} * {witness.cheeger} >= {len(witness.Z)}")
+        return SolveResult(False, None, witness)
     flows = _net_flows(net, edge_arcs)
     scheme = _decompose(aut, K, flows, boundary_set)
     return SolveResult(True, scheme, None)
@@ -299,7 +308,8 @@ def _extract_witness(aut, net, edge_arcs, index) -> Witness:
                 seen[v] = True
                 queue.append(v)
     Z = tuple(v for v in aut.keys if seen[index[v]])
-    assert Z, "max flow below |Y| must leave some source arc unsaturated"
+    if not Z:
+        raise AssertionError("max flow below |Y| must leave some source arc unsaturated")
     zset = set(Z)
     leaving = sum(1 for (u, a, w) in edge_arcs if u in zset and w not in zset)
     return Witness(Z=Z, cheeger=leaving)
@@ -678,4 +688,8 @@ def save_scheme(scheme: EvacScheme, path) -> None:
 
 def load_scheme(path) -> EvacScheme:
     with open(path) as fh:
-        return scheme_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise AutomatonFormatError(f"not valid JSON: {exc}") from None
+    return scheme_from_obj(obj)

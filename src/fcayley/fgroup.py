@@ -134,10 +134,6 @@ def generator_xbar1() -> FElement:
     return multiply(X1, invert(X0))
 
 
-def generator_x2() -> FElement:
-    return generator_x(2)
-
-
 # ---------------------------------------------------------------------------
 # Group words
 

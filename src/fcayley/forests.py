@@ -168,7 +168,8 @@ def enumerate_bb(n: int, k: int, budget: int = DEFAULT_BUDGET) -> list[MarkedFor
     for trees in forests(n):
         for mark in range(len(trees)):
             out.append(MarkedForest(trees, mark))
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"enumerated {len(out)} forests, DP counts {total}")
     out.sort(key=lambda f: f.enc)
     return out
 
@@ -188,8 +189,9 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
             g = act(a, f, k)
             if g is None:
                 row[a] = None
+            elif g.enc not in index:
+                raise AssertionError(f"action {a!r} left BB({n},{k})")
             else:
-                assert g.enc in index, "action left BB(n,k)"
                 row[a] = g.enc
         slots[f.enc] = row
     return Automaton(alphabet, slots, outer=None)

@@ -201,3 +201,11 @@ def test_obj_roundtrip_preserves_multiset():
     assert again.slots == aut.slots
     assert json.dumps(automaton_to_obj(again), sort_keys=True) == json.dumps(
         automaton_to_obj(aut), sort_keys=True)
+
+
+def test_malformed_automaton_objects():
+    base = {"alphabet": ["a"], "vertices": ["u"], "edges": []}
+    for bad in ({"edges": [5]}, {"values": ["x"]}, {"values": {"a": 5}},
+                {"values": {"a": "bogus"}}, {"vertices": [["u"]]}):
+        with pytest.raises(AutomatonFormatError):
+            automaton_from_obj({**base, **bad})

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import pytest
+
 from fcayley import evac
 from fcayley.cayley import load_automaton, save_automaton
-from fcayley.cli import EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, main
+from fcayley.cli import EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, main, sweep_records
 
 
 def run(args):
@@ -209,3 +211,61 @@ def test_sweep_threads_match_serial(tmp_path):
     assert run(base + ["--out", str(a)]) == EXIT_OK
     assert run(base + ["--threads", "2", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_flags_of_other_subcommands_are_usage_errors(tmp_path):
+    for args in (["evac", "--automaton", str(tmp_path / "a.json"), "--format", "csv"],
+                 ["ball", "--r", "1", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == EXIT_VALIDATION, args
+
+
+def test_bb_count_mode_rejects_csv(tmp_path):
+    code = run(["bb", "--n", "2", "--k", "1", "--format", "csv",
+                "--out", str(tmp_path / "bb.csv")])
+    assert code == EXIT_VALIDATION
+
+
+def test_sweep_threads_below_one_is_usage_error(tmp_path, capsys):
+    code = run(["sweep", "--k", "1", "--n", "4", "--threads", "-1",
+                "--out", str(tmp_path / "s.json")])
+    assert code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_workers_clamped(monkeypatch):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    records = sweep_records([1, 2], [4, 5, 6], ["x0,x1"], threads=10000)
+    assert started == [4] and len(records) == 6
+    sweep_records([1], [4, 5], ["x0,x1"], threads=10000)
+    assert started == [4, 2]  # no more workers than jobs
+
+
+def test_malformed_automaton_files_exit_2(tmp_path, capsys):
+    for name, obj in (("edge.json", {"alphabet": ["a"], "vertices": ["u"], "edges": [5]}),
+                      ("values.json", {"alphabet": ["a"], "vertices": ["u"], "edges": [],
+                                       "values": ["x"]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
+        assert capsys.readouterr().err.startswith("error: "), name

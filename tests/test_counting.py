@@ -73,10 +73,59 @@ def test_bb_count_monotone_and_stable_when_cap_free():
 
 def test_catalan_cross_checks():
     assert catalan(3) == 5
-    # unmarked forest count with a non-binding cap equals the Catalan number
+    # with a non-binding cap F = 1 + x F^2 is the Catalan series, so F[n]
+    # counts unmarked forests and S[n] = (F^2)[n] = c_(n+1)
     for n in range(1, 9):
         t = CountTable(max(1, n - 1), n)
         assert t.F[n] == catalan(n)
+        assert t.S[n] == catalan(n + 1)
+
+
+def _conv(a, b, N):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(N + 1)]
+
+
+def _reference_trees(k, N):
+    """f_k = x + f_(k-1)^2 with f_(-1) = 0, up to x^N."""
+    if k < 0:
+        return [0] * (N + 1)
+    lower = _reference_trees(k - 1, N)
+    f = _conv(lower, lower, N)
+    f[1] += 1
+    return f
+
+
+def _reference(k, N):
+    """Full arrays up to N: F = 1 + f F, S = F^2, M = S - F, and the series
+    of forests accepting x1^-1 (h S), x2^-1 (f h S) and the Y0 series gg S."""
+    f, lower = _reference_trees(k, N), _reference_trees(k - 1, N)
+    F = [1] + [0] * N
+    for n in range(1, N + 1):
+        F[n] = sum(f[l] * F[n - l] for l in range(1, n + 1))
+    S = _conv(F, F, N)
+    M = [s - t for s, t in zip(S, F)]
+    ax1 = _conv(_conv(lower, lower, N), S, N)
+    ax2 = _conv(f, ax1, N)
+    g = [a - b for a, b in zip(f, lower)]
+    y0 = _conv(_conv(g, g, N), S, N) if k >= 1 else [0] * (N + 1)
+    return F, S, M, ax1, ax2, y0
+
+
+def test_counts_match_full_array_reference():
+    N = 120
+    for k in range(0, 9):
+        F, S, M, ax1, ax2, y0 = _reference(k, N)
+        for n in range(1, N + 1):
+            assert bb_count(n, k) == M[n], (n, k)
+            assert y0_count(n, k) == y0[n - 1], (n, k)
+            assert nu_counts(n, k, ("x0", "x1", "xb1", "x2")) == {
+                "x0": F[n], "x0^-1": F[n],
+                "x1": S[n - 1], "x1^-1": M[n] - ax1[n],
+                "xb1": S[n - 1], "xb1^-1": M[n] - ax1[n],
+                "x2": F[n] + M[n - 1], "x2^-1": M[n] - ax2[n],
+            }, (n, k)
+            if n >= 2:
+                assert xi_estimate(k, n) == Fraction(M[n - 1], M[n]), (n, k)
 
 
 def test_dp_equals_enumeration_full_grid():
@@ -183,6 +232,20 @@ def test_trimming_constants():
 
 def test_table_cache_growth():
     t1 = counting.table(1, 10)
+    before = [(t1.F[n], t1.S[n], t1.marked(n)) for n in range(11)]
     t2 = counting.table(1, 500)
     assert t2.n_max >= 500
-    assert t2.M[10] == t1.M[10]
+    assert [(t2.F[n], t2.S[n], t2.marked(n)) for n in range(11)] == before
+    assert counting.table(1, 400) is t2  # no rebuild below the budget
+
+
+def test_table_cache_is_bounded():
+    kept = counting.TABLES_KEPT
+    for k in range(kept + 5):
+        counting.table(k, 8)
+    assert len(counting._tables) == kept
+    assert set(counting._tables) == set(range(5, kept + 5))
+    counting.table(5, 8)  # touch the oldest, so the next one evicts k = 6
+    counting.table(kept + 5, 8)
+    assert 5 in counting._tables and 6 not in counting._tables
+    assert len(counting._tables) == kept

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fcayley import evac, fgroup
-from fcayley.cayley import Automaton, GenAlphabet, ball, make_alphabet
+from fcayley.cayley import Automaton, AutomatonFormatError, GenAlphabet, ball, make_alphabet
 from fcayley.evac import (
     EvacScheme,
     NoEvacuationTarget,
@@ -436,3 +436,21 @@ def test_scheme_obj_roundtrip(tmp_path):
     path = tmp_path / "scheme.json"
     evac.save_scheme(scheme, path)
     assert evac.load_scheme(path) == scheme
+
+
+def test_malformed_scheme_files(tmp_path):
+    for name, text in (("truncated.json", '{"K": 1, "paths":'),
+                       ("paths.json", '{"K": 1, "paths": [1]}'),
+                       ("edge.json", '{"K": 1, "paths": {"u": [5]}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(AutomatonFormatError):
+            evac.load_scheme(path)
+
+
+def test_solver_checks_its_witness(monkeypatch):
+    # a witness emitting 2 edges from 1 vertex fails K * cheeger < |Z|
+    monkeypatch.setattr(evac, "_extract_witness",
+                        lambda *args: evac.Witness(Z=("u1",), cheeger=2))
+    with pytest.raises(AssertionError, match="Hall inequality"):
+        solve_with_constant(blocked_chain_automaton(), 1)
