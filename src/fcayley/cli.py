@@ -77,13 +77,17 @@ def cmd_ball(args) -> int:
 def cmd_bb(args) -> int:
     alphabet = make_alphabet(args.alphabet)
     if args.mode == "count":
-        if args.format == "csv":
-            raise ValueError("--format csv needs --mode enumerate")
+        for flag, given in (("--format csv", args.format == "csv"),
+                            ("--report", args.report is not None),
+                            ("--budget", args.budget is not None)):
+            if given:
+                raise ValueError(f"{flag} needs --mode enumerate")
         rec = counting.density_report(args.n, args.k, alphabet.symbols)
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
         return EXIT_OK
-    aut = forests.bb_automaton(args.n, args.k, alphabet, budget=args.budget)
+    budget = forests.DEFAULT_BUDGET if args.budget is None else args.budget
+    aut = forests.bb_automaton(args.n, args.k, alphabet, budget=budget)
     if args.out:
         save_automaton(aut, args.out)
     rep = boundary_report(aut)
@@ -251,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="x0,x1")
     p.add_argument("--mode", choices=("enumerate", "count"), default="count")
     p.add_argument("--report", help="write the boundary report to this path")
-    p.add_argument("--budget", type=int, default=forests.DEFAULT_BUDGET,
-                   help="enumeration budget (number of forests)")
+    p.add_argument("--budget", type=int,
+                   help="enumeration budget (number of forests, default "
+                        f"{forests.DEFAULT_BUDGET:,})")
     output(p, "write the automaton (enumerate) or the record (count) to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bb)

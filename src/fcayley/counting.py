@@ -54,15 +54,11 @@ def tree_counts(k: int, max_leaves: int) -> list[int]:
     """f[0..max_leaves]: trees with the given leaf count and height <= k."""
     if k < 0 or max_leaves < 0:
         raise ValueError("k and max_leaves must be nonnegative")
-    f = [0] * (max_leaves + 1)
-    if max_leaves >= 1:
-        f[1] = 1
-    if k == 0:
-        return f
-    lower = tree_counts(k - 1, min(max_leaves, 2 ** (k - 1)))
-    for l in range(2, min(max_leaves, 2 ** k) + 1):
-        f[l] = _coef(lower, lower, l)
-    return f
+    f = [0, 1][:max_leaves + 1]
+    # a tree with l leaves has height at most l - 1, so higher caps cannot bind
+    for h in range(1, min(k, max_leaves - 1) + 1):
+        f = [0, 1] + [_coef(f, f, l) for l in range(2, min(max_leaves, 2 ** h) + 1)]
+    return f + [0] * (max_leaves + 1 - len(f))
 
 
 class CountTable:

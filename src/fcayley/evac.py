@@ -5,13 +5,16 @@ ending on the inner boundary, with every directed edge used at most K times
 over all paths.  K = 1 is the pure case; there each used edge excludes its
 inverse and paths are simple.
 
-The solver runs a unit-capacity flow (super-source feeding one unit into
-every vertex, inner-boundary vertices draining into a super-sink) and
-decomposes the integral max flow into paths.  Existence is equivalent to a
-Hall-type condition: every nonempty set Z of internal vertices must emit at
-least |Z|/K directed edges; the brute-force subset oracle checks exactly
-that, independently of the flow route.  When no scheme exists the witness Z
-is read off the residual min cut and satisfies K * |edges leaving Z| < |Z|.
+Existence is equivalent to a Hall-type condition: every nonempty set Z of
+internal vertices must emit at least |Z|/K directed edges.  The solver
+routes one unit per internal vertex along augmenting paths of a capacity-K
+flow on the Serre graph itself, and decomposes the flow into paths.  When
+the residual search from a vertex v meets no boundary vertex, the set R it
+reached is the witness: R holds only internal vertices, every arc out of R
+is saturated and no arc into R carries flow, so K * |edges out of R| is the
+number of units already routed out of R, at most |R| - 1 because v's unit
+is not among them.  The brute-force subset oracle checks the condition
+independently of the flow route.
 """
 
 from __future__ import annotations
@@ -136,94 +139,51 @@ def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Max-flow solver (Edmonds-Karp on the evacuation network)
-
-
-class _FlowNet:
-    """Arc-list residual network with deterministic BFS augmentation."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        i = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[u].append(i)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(i + 1)
-        return i
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            parent_arc = [-1] * len(self.adj)
-            parent_arc[s] = -2
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                if u == t:
-                    break
-                for i in self.adj[u]:
-                    v = self.to[i]
-                    if self.cap[i] > 0 and parent_arc[v] == -1:
-                        parent_arc[v] = i
-                        queue.append(v)
-            if parent_arc[t] == -1:
-                return total
-            # trace back, find bottleneck, apply
-            path = []
-            v = t
-            while v != s:
-                i = parent_arc[v]
-                path.append(i)
-                v = self.to[i ^ 1]
-            aug = min(self.cap[i] for i in path)
-            for i in path:
-                self.cap[i] -= aug
-                self.cap[i ^ 1] += aug
-            total += aug
-
-    def flow_on(self, arc: int) -> int:
-        return self.cap[arc ^ 1]
+# Solver: unit augmenting paths on the Serre graph
 
 
 def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
-    """Evacuation scheme with edge capacity K, or a Hall witness when none exists."""
+    """Evacuation scheme with edge capacity K, or a Hall witness when none exists.
+
+    Arc e = v * 2m + j is slot j of vertex v and tgt[e] its target (-1 for a
+    boundary slot); the Serre pairing makes (tgt[e], (j + m) mod 2m) its
+    inverse.  One antisymmetric flow f[e] = -f[inv e] carries the units, so
+    an arc has residual capacity K - f[e] and never shares flow with its
+    inverse.  Internal vertices, in key order, route their unit along a
+    shortest residual path to the boundary.
+    """
     if K < 1:
         raise ValueError("K must be at least 1")
-    boundary = aut.inner_boundary()
-    if not boundary:
-        raise NoEvacuationTarget("automaton has no boundary slots")
-    keys = list(aut.keys)  # sorted
+    keys, letters = aut.keys, aut.alphabet.letters()
+    d = len(letters)
     index = {v: i for i, v in enumerate(keys)}
-    n = len(keys)
-    source, sink = n, n + 1
-    net = _FlowNet(n + 2)
-    source_arcs = {}
-    for v in keys:
-        source_arcs[v] = net.add_arc(source, index[v], 1)
-    edge_arcs: dict[Edge, int] = {}
-    for v in keys:
-        for a in aut.alphabet.letters():
-            w = aut.slots[v][a]
-            if w is not None:
-                edge_arcs[(v, a, w)] = net.add_arc(index[v], index[w], K)
-    boundary_set = set(boundary)
-    for v in boundary:
-        net.add_arc(index[v], sink, n + 1)
-    value = net.max_flow(source, sink)
-    if value < n:
-        witness = _extract_witness(aut, net, edge_arcs, index)
-        if not K * witness.cheeger < len(witness.Z):
-            raise AssertionError("witness fails the Hall inequality: "
-                                 f"{K} * {witness.cheeger} >= {len(witness.Z)}")
-        return SolveResult(False, None, witness)
-    flows = _net_flows(net, edge_arcs)
-    scheme = _decompose(aut, K, flows, boundary_set)
+    tgt = [-1 if w is None else index[w]
+           for v in keys for w in (aut.slots[v][a] for a in letters)]
+    is_boundary = [-1 in tgt[e:e + d] for e in range(0, len(tgt), d)]
+    if not any(is_boundary):
+        raise NoEvacuationTarget("automaton has no boundary slots")
+    f = [0] * len(tgt)
+    for s in range(len(keys)):
+        if is_boundary[s]:
+            continue
+        reached, end = _search(tgt, f, K, d, is_boundary, s)
+        if end < 0:
+            Z = tuple(keys[u] for u in sorted(reached))
+            witness = Witness(Z=Z, cheeger=cheeger_out(aut, set(Z)))
+            if not K * witness.cheeger < len(Z):
+                raise AssertionError("witness fails the Hall inequality: "
+                                     f"{K} * {witness.cheeger} >= {len(Z)}")
+            return SolveResult(False, None, witness)
+        while end != s:  # one unit along the path, back from its end
+            e = reached[end]
+            end = e // d
+            f[e] += 1
+            f[tgt[e] * d + (e + d // 2) % d] -= 1
+    paths = {keys[s]: tuple((keys[e // d], letters[e % d], keys[tgt[e]])
+                            for e in _walk(tgt, f, d, is_boundary, s))
+             for s in range(len(keys))}
+    scheme = EvacScheme(K=K, paths=paths)
+    validate_scheme(aut, scheme)
     return SolveResult(True, scheme, None)
 
 
@@ -232,87 +192,50 @@ def solve_pure(aut: Automaton) -> SolveResult:
     return solve_with_constant(aut, 1)
 
 
-def _net_flows(net: _FlowNet, edge_arcs: dict[Edge, int]) -> dict[Edge, int]:
-    """Per-edge flows with antiparallel circulation cancelled, so a directed
-    edge and its inverse never both carry flow (Remark-style exclusion)."""
-    flows = {e: net.flow_on(arc) for e, arc in edge_arcs.items()}
-    for e, fe in list(flows.items()):
-        u, a, w = e
-        einv = (w, letter_inverse(a), u)
-        if fe > 0 and einv in flows and flows[einv] > 0:
-            c = min(fe, flows[einv])
-            flows[e] -= c
-            flows[einv] -= c
-    return flows
+def _search(tgt, f, K, d, is_boundary, s) -> tuple[dict[int, int], int]:
+    """Breadth-first search from s through arcs with f[e] < K.
+
+    Returns the reached vertices, each mapped to the arc it was first
+    reached by, and the first boundary vertex met, or -1 when there is none.
+    """
+    reached = {s: -1}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for e in range(u * d, u * d + d):
+            w = tgt[e]
+            if w >= 0 and f[e] < K and w not in reached:
+                reached[w] = e
+                if is_boundary[w]:
+                    return reached, w
+                queue.append(w)
+    return reached, -1
 
 
-def _decompose(aut, K, flows, boundary_set) -> EvacScheme:
-    """Walk each vertex's unit through the flow, in lexicographic vertex order.
+def _walk(tgt, f, d, is_boundary, s) -> list[int]:
+    """Arcs of one unit's path from s to the boundary, consuming the flow.
 
+    An internal vertex sends out one unit more than it receives and a
+    boundary vertex sends out none, so a walk can only stop on the boundary.
     Loops met along a walk are excised (dropping that circulation only lowers
     edge usage), so every path comes out simple.
     """
-    out_edges: dict[str, list[Edge]] = {v: [] for v in aut.keys}
-    # units drained at each boundary vertex = inflow + own unit - outflow
-    drain: dict[str, int] = {v: 1 for v in aut.keys}
-    for (v, a, w), fe in sorted(flows.items()):
-        if fe > 0:
-            out_edges[v].append((v, a, w))
-            drain[v] -= fe
-            drain[w] += fe
-    paths: dict[str, tuple[Edge, ...]] = {}
-    remaining = dict(flows)
-    for v in aut.keys:
-        path: list[Edge] = []
-        visited = {v: 0}
-        cur = v
-        while True:
-            if cur in boundary_set and drain[cur] > 0:
-                drain[cur] -= 1
-                break
-            step = None
-            for e in out_edges[cur]:
-                if remaining[e] > 0:
-                    step = e
-                    break
-            if step is None:
-                raise AssertionError("flow decomposition stuck; conservation broken")
-            remaining[step] -= 1
-            cur = step[2]
-            if cur in visited:
-                # excise the loop; its flow is dropped as unnecessary circulation
-                path = path[: visited[cur]]
-                visited = {u: i for u, i in visited.items() if i <= visited[cur]}
-            else:
-                path.append(step)
-                visited[cur] = len(path)
-        paths[v] = tuple(path)
-    scheme = EvacScheme(K=K, paths=paths)
-    validate_scheme(aut, scheme)
-    return scheme
-
-
-def _extract_witness(aut, net, edge_arcs, index) -> Witness:
-    """Min-cut side: vertices residual-reachable from the source.  They are
-    all internal (a reachable boundary vertex would leave an unsaturated
-    infinite sink arc) and emit fewer than |Z|/K directed edges."""
-    n = len(aut.keys)
-    seen = [False] * (n + 2)
-    seen[n] = True
-    queue = deque([n])
-    while queue:
-        u = queue.popleft()
-        for i in net.adj[u]:
-            v = net.to[i]
-            if net.cap[i] > 0 and not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    Z = tuple(v for v in aut.keys if seen[index[v]])
-    if not Z:
-        raise AssertionError("max flow below |Y| must leave some source arc unsaturated")
-    zset = set(Z)
-    leaving = sum(1 for (u, a, w) in edge_arcs if u in zset and w not in zset)
-    return Witness(Z=Z, cheeger=leaving)
+    path: list[int] = []
+    depth = {s: 0}
+    u = s
+    while not is_boundary[u]:
+        e = next((e for e in range(u * d, u * d + d) if f[e] > 0), None)
+        if e is None:
+            raise AssertionError("flow decomposition stuck; conservation broken")
+        f[e] -= 1
+        u = tgt[e]
+        if u in depth:
+            del path[depth[u]:]
+            depth = {x: i for x, i in depth.items() if i <= depth[u]}
+        else:
+            path.append(e)
+            depth[u] = len(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +409,27 @@ class CertificateVerdict:
     inequality_holds: bool | None    # eps |Y| <= C |cheeger boundary|
 
 
-def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
+def _fraction(x) -> Fraction:
     try:
-        C = Fraction(obj["C"])
-        eps = Fraction(obj["eps"])
-        entries = obj.get("flow", [])
-        binflow = obj.get("boundary_inflows", {})
-    except (KeyError, ValueError, TypeError) as exc:
-        raise AutomatonFormatError(f"bad certificate object: {exc}") from None
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise AutomatonFormatError(f"bad rational value {x!r}") from None
+
+
+def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
+    if not (isinstance(obj, dict) and "C" in obj and "eps" in obj):
+        raise AutomatonFormatError("certificate must be an object with C and eps")
+    entries = obj.get("flow", [])
+    binflow = obj.get("boundary_inflows", {})
+    if not (isinstance(entries, list) and isinstance(binflow, dict)):
+        raise AutomatonFormatError(
+            "certificate flow must be a list and boundary_inflows an object")
     flow: dict[Edge, Fraction] = {}
     for entry in entries:
-        if len(entry) != 4:
+        if not (isinstance(entry, list) and len(entry) == 4 and is_edge_entry(entry[:3])):
             raise AutomatonFormatError(f"bad flow entry {entry!r}")
         u, a, w, val = entry
-        val = Fraction(val)
+        val = _fraction(val)
         if aut.slots.get(u, {}).get(a) != w:
             raise AutomatonFormatError(f"flow on non-edge ({u!r}, {a!r}, {w!r})")
         einv = (w, letter_inverse(a), u)
@@ -508,8 +438,9 @@ def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
                 raise AutomatonFormatError(
                     f"antisymmetry violation on edge {key!r}: {flow[key]} vs {v}")
             flow[key] = v
-    boundary_inflow = {v: Fraction(x) for v, x in binflow.items()}
-    return FlowCertificate(C=C, eps=eps, flow=flow, boundary_inflow=boundary_inflow)
+    boundary_inflow = {v: _fraction(x) for v, x in binflow.items()}
+    return FlowCertificate(C=_fraction(obj["C"]), eps=_fraction(obj["eps"]),
+                           flow=flow, boundary_inflow=boundary_inflow)
 
 
 def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> CertificateVerdict:

@@ -269,3 +269,39 @@ def test_malformed_automaton_files_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_malformed_certificate_files_exit_2(tmp_path, capsys):
+    aut_path = tmp_path / "chain.json"
+    save_automaton(evac.blocked_chain_automaton(), aut_path)
+    for name, obj in (("entry.json", {"C": "1", "eps": "1", "flow": [5]}),
+                      ("flow.json", {"C": "1", "eps": "1", "flow": 5}),
+                      ("inflows.json", {"C": "1", "eps": "1", "boundary_inflows": ["z"]}),
+                      ("vertex.json", {"C": "1", "eps": "1",
+                                       "flow": [[["u1"], "b", "u2", "1"]]})):
+        cert_path = tmp_path / name
+        cert_path.write_text(json.dumps(obj))
+        code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
+        assert code == EXIT_VALIDATION, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_bb_count_mode_with_unbinding_height_cap(tmp_path):
+    records = []
+    for k in ("5", "1200"):
+        out = tmp_path / f"bb_{k}.json"
+        assert run(["bb", "--n", "5", "--k", k, "--mode", "count",
+                    "--out", str(out), "--no-timestamp"]) == EXIT_OK
+        records.append(read_json(out)["record"])
+    capped, uncapped = records
+    assert uncapped["size"] == capped["size"] == "90"
+    assert uncapped["nu"] == capped["nu"]
+
+
+def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
+    for flag, value in (("--report", str(tmp_path / "rep.json")), ("--budget", "5")):
+        code = run(["bb", "--n", "3", "--k", "1", "--mode", "count", flag, value,
+                    "--out", str(tmp_path / "rec.json")])
+        assert code == EXIT_VALIDATION, flag
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
