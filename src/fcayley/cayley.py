@@ -128,13 +128,15 @@ class Automaton:
                  outer: frozenset[str] | None = None):
         self.alphabet = alphabet
         letters = alphabet.letters()
+        letter_set = set(letters)
+        inverse = {a: letter_inverse(a) for a in letters}
         keys = tuple(sorted(slots))
         if not keys:
             raise ValueError("automaton must be nonempty")
         norm: dict[str, dict[str, str | None]] = {}
         for v in keys:
             row = slots[v]
-            if set(row) != set(letters):
+            if row.keys() != letter_set:
                 raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
             norm[v] = {a: row[a] for a in letters}
         for v in keys:
@@ -143,10 +145,10 @@ class Automaton:
                     continue
                 if w not in norm:
                     raise AutomatonFormatError(f"edge ({v!r}, {a!r}) targets unknown vertex {w!r}")
-                if norm[w][letter_inverse(a)] != v:
+                if norm[w][inverse[a]] != v:
                     raise SerreViolation(
                         f"edge ({v!r}, {a!r}, {w!r}) has no inverse edge "
-                        f"({w!r}, {letter_inverse(a)!r}, {v!r})")
+                        f"({w!r}, {inverse[a]!r}, {v!r})")
         self.keys = keys
         self.slots = norm
         self.outer = outer
@@ -172,12 +174,7 @@ class Automaton:
 
     def geometric_edges(self) -> list[tuple[str, str, str]]:
         """One triple per inverse pair, with a positive letter."""
-        out = []
-        for v, a, w in self.directed_edges():
-            if a.endswith(INV):
-                continue
-            out.append((v, a, w))
-        return out
+        return [(v, a, w) for v, a, w in self.directed_edges() if not a.endswith(INV)]
 
     def restrict(self, keys) -> "Automaton":
         """Induced sub-automaton on a subset of vertices (ambient info dropped)."""
@@ -279,23 +276,29 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 
 
 def ball(r: int, alphabet: GenAlphabet) -> Automaton:
-    """Ball of radius r around the identity, as an automaton with ambient data."""
+    """Ball of radius r around the identity, as an automaton with ambient data.
+
+    The products that grow B(r) from B(r-1) are kept as the slot rows of
+    B(r-1), so only the sphere is multiplied again.
+    """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
+    values = [alphabet.value(a) for a in alphabet.letters()]
     elements = {fgroup.IDENTITY.key: fgroup.IDENTITY}
+    products: dict[str, list[FElement]] = {}
     frontier = [fgroup.IDENTITY]
     for _ in range(r):
         nxt = []
         for g in frontier:
-            for a in alphabet.letters():
-                h = fgroup.multiply(g, alphabet.value(a))
+            row = products[g.key] = [fgroup.multiply(g, v) for v in values]
+            for h in row:
                 if h.key not in elements:
                     elements[h.key] = h
                     nxt.append(h)
         frontier = nxt
-    return _cayley_automaton(elements, alphabet)
+    return _cayley_automaton(elements, alphabet, values, products)
 
 
 def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
@@ -310,22 +313,21 @@ def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
         elements[key] = g
     if not elements:
         raise ValueError("empty vertex set")
-    return _cayley_automaton(elements, alphabet)
+    values = [alphabet.value(a) for a in alphabet.letters()]
+    return _cayley_automaton(elements, alphabet, values, {})
 
 
-def _cayley_automaton(elements: dict[str, FElement], alphabet: GenAlphabet) -> Automaton:
+def _cayley_automaton(elements: dict[str, FElement], alphabet: GenAlphabet,
+                      values: list[FElement],
+                      products: dict[str, list[FElement]]) -> Automaton:
+    """Slots g -> g*a for every element; `products` holds rows already computed."""
+    letters = alphabet.letters()
     slots: dict[str, dict[str, str | None]] = {}
     outer: set[str] = set()
     for key, g in elements.items():
-        row: dict[str, str | None] = {}
-        for a in alphabet.letters():
-            h = fgroup.multiply(g, alphabet.value(a))
-            if h.key in elements:
-                row[a] = h.key
-            else:
-                row[a] = None
-                outer.add(h.key)
-        slots[key] = row
+        row = [h.key for h in products.get(key) or [fgroup.multiply(g, v) for v in values]]
+        slots[key] = {a: h if h in elements else None for a, h in zip(letters, row)}
+        outer.update(h for h in row if h not in elements)
     return Automaton(alphabet, slots, outer=frozenset(outer))
 
 
@@ -364,14 +366,23 @@ def automaton_from_obj(obj: dict) -> Automaton:
         edges = list(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise AutomatonFormatError(f"missing automaton field: {exc}") from None
+    if not all(isinstance(s, str) for s in symbols):
+        raise AutomatonFormatError("alphabet symbols must be strings")
     if not all(isinstance(v, str) for v in vertices):
         raise AutomatonFormatError("vertex keys must be strings")
+    outer = obj.get("outer")
+    if outer is not None and not (isinstance(outer, list)
+                                  and all(isinstance(v, str) for v in outer)):
+        raise AutomatonFormatError("outer must be a list of vertex keys")
     values_obj = obj.get("values")
     values = None
     if values_obj:
         if not (isinstance(values_obj, dict)
                 and all(isinstance(k, str) for k in values_obj.values())):
             raise AutomatonFormatError("values must map symbols to 'domain|range' keys")
+        unknown = sorted(set(values_obj) - set(symbols))
+        if unknown:
+            raise AutomatonFormatError(f"values for symbols outside the alphabet: {unknown}")
         try:
             values = {s: element_from_key(k) for s, k in values_obj.items()}
         except ValueError as exc:
@@ -385,7 +396,7 @@ def automaton_from_obj(obj: dict) -> Automaton:
     }
     # Default format lists one directed edge per inverse pair and the loader
     # fills both slots.  With "directed": true every directed edge must be
-    # listed explicitly and a missing inverse is a Serre violation.
+    # listed explicitly, and `Automaton` rejects a missing inverse.
     directed = bool(obj.get("directed", False))
 
     def set_slot(src: str, lab: str, dst: str) -> None:
@@ -406,16 +417,7 @@ def automaton_from_obj(obj: dict) -> Automaton:
         set_slot(u, a, w)
         if not directed:
             set_slot(w, letter_inverse(a), u)
-    if directed:
-        for u in slots:
-            for a, w in slots[u].items():
-                if w is not None and slots[w][letter_inverse(a)] != u:
-                    raise SerreViolation(
-                        f"edge ({u!r}, {a!r}, {w!r}) listed without its inverse")
-    outer = obj.get("outer")
-    aut = Automaton(alphabet, slots,
-                    outer=frozenset(outer) if outer is not None else None)
-    return aut
+    return Automaton(alphabet, slots, outer=frozenset(outer) if outer is not None else None)
 
 
 def save_automaton(aut: Automaton, path) -> None:

@@ -1,13 +1,38 @@
-"""Exact arithmetic in Thompson's group F via reduced tree-pair diagrams.
+"""Exact arithmetic in Thompson's group F on reduced tree-pair diagrams.
 
-An element is a pair (domain_tree, range_tree) with equal leaf counts, reduced
-so that no pair of adjacent leaves is a sibling pair in both trees at once.
-Reading an element as the dyadic PL map that carries the range-tree
-subdivision onto the domain-tree subdivision, the product a*b applies a
-first and b second.  Words therefore multiply left to right, matching right
-Cayley graphs (edge labelled a goes from g to g*a); under this convention
-the defining relations x_j x_i = x_i x_{j+1} (i < j) hold for the base
-pairs below, which the test suite pins down.
+An element is a pair (domain, range) of binary trees with equal leaf counts
+(Cannon, Floyd & Parry 1996), reduced so that no two adjacent leaves are
+siblings in both trees.  Read as the dyadic PL map that carries the range
+subdivision onto the domain subdivision, a*b applies a first and b second,
+so words multiply left to right as in right Cayley graphs (edge a goes from
+g to g*a), and the relations x_j x_i = x_i x_{j+1} (i < j) hold for the base
+pairs below.
+
+A tree is stored as its leaf depths, left to right: leaf i is the dyadic
+interval of length 2^-d_i that starts where leaf i-1 ends, so at a scale 2^T
+(T >= every depth) its breakpoints are integers.  An element holds the
+reduced sequences `dd` (domain) and `rd` (range); Tree objects are built
+only on demand (`.domain`, `.range`).
+
+Product.  Dyadic intervals are nested or disjoint, so the union of the
+breakpoints of b.range and a.domain cuts [0, 1] into the leaves of their
+least common extension (the union of both caret sets).  `multiply` sweeps
+that union once: a middle leaf of depth md inside b.range leaf i and
+a.domain leaf j has depth md - b.rd[i] + b.dd[i] in the product's domain
+and md - a.dd[j] + a.rd[j] in its range (the middle tree grafted onto
+b.domain and onto a.range).
+
+Reduction.  Leaves i, i+1 of a tree are the children of one caret exactly
+when both have depth d and leaf i starts on a multiple of 2^(T-d+1).
+`_reduce` pushes leaves left to right and collapses the top two while they
+are such a pair in both trees; a collapse can only pair with a neighbour,
+and the right one is checked when it is pushed.  Reduced pairs are unique,
+so the collapse order does not matter.
+
+Keys are "domain|range" in the encoding of `trees`.  `_enc` writes leaf i
+after one "(" per caret it is the leftmost leaf of and before one ")" per
+caret it is the rightmost leaf of: the trailing ones of its index among the
+intervals of its depth.
 
 Base generators (pinned by the relation tests in the suite):
 
@@ -19,50 +44,38 @@ and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2, xbar1 = x1 * x0^-1.
 
 from __future__ import annotations
 
-from .trees import (
-    LEAF,
-    Tree,
-    align,
-    collapse_sibling,
-    graft,
-    merge,
-    parse_tree,
-    sibling_leaf_pairs,
-)
+from .trees import Tree, parse_tree
 
 # A group word is a sequence of (symbol, sign) letters, sign in {+1, -1}.
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+Depths = tuple[int, ...]
 
 
 class FElement:
     """Reduced tree-pair representative of an element of Thompson's group F."""
 
-    __slots__ = ("domain", "range", "key")
+    __slots__ = ("dd", "rd", "key")
 
     def __init__(self, domain: Tree, range_: Tree):
         if domain.leaves != range_.leaves:
             raise ValueError("domain and range trees must have equal leaf counts")
-        while True:
-            common = sibling_leaf_pairs(domain) & sibling_leaf_pairs(range_)
-            if not common:
-                break
-            i = min(common)
-            domain = collapse_sibling(domain, i)
-            range_ = collapse_sibling(range_, i)
-        self.domain = domain
-        self.range = range_
-        self.key = domain.enc + "|" + range_.enc
+        self.dd, self.rd = _reduce(_depths(domain), _depths(range_))
+        self.key = _enc(self.dd) + "|" + _enc(self.rd)
+
+    @property
+    def domain(self) -> Tree:
+        return parse_tree(_enc(self.dd))
+
+    @property
+    def range(self) -> Tree:
+        return parse_tree(_enc(self.rd))
 
     def is_identity(self) -> bool:
-        # equal leaf counts: a one-leaf domain forces a one-leaf range
-        return self.domain.is_leaf()
+        return len(self.dd) == 1
 
     def __eq__(self, other):
         return isinstance(other, FElement) and self.key == other.key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.key)
@@ -77,7 +90,55 @@ class FElement:
         return invert(self)
 
 
-IDENTITY = FElement(LEAF, LEAF)
+def _element(dd: Depths, rd: Depths) -> FElement:
+    """Element from an already reduced pair of depth sequences."""
+    g = FElement.__new__(FElement)
+    g.dd, g.rd, g.key = dd, rd, _enc(dd) + "|" + _enc(rd)
+    return g
+
+
+def _depths(t: Tree, d: int = 0) -> list[int]:
+    """Leaf depths of t, left to right."""
+    return [d] if t.is_leaf() else _depths(t.left, d + 1) + _depths(t.right, d + 1)
+
+
+def _enc(depths: Depths) -> str:
+    """Balanced-parentheses encoding of the tree with these leaf depths."""
+    t = max(depths)
+    out = ""
+    p = cur = 0  # start of the next leaf at scale 2^t; carets open before it
+    for d in depths:
+        i = p >> (t - d)
+        p += 1 << (t - d)
+        closes = (i ^ (i + 1)).bit_length() - 1
+        out += "(" * (d - cur) + "." + ")" * closes
+        cur = d - closes
+    return out
+
+
+def _reduce(dd, rd) -> tuple[Depths, Depths]:
+    """Collapse every common sibling pair of the depth sequences dd, rd."""
+    t = max(max(dd), max(rd))
+    sd, sr, sa, sb = [], [], [], []  # stacked leaves: depths and starts at scale 2^t
+    p = q = 0
+    for d, r in zip(dd, rd):
+        a, b = p, q
+        p += 1 << (t - d)
+        q += 1 << (t - r)
+        while (sd and sd[-1] == d and sr[-1] == r
+               and not (sa[-1] >> (t - d)) & 1 and not (sb[-1] >> (t - r)) & 1):
+            sd.pop()
+            sr.pop()
+            a, b = sa.pop(), sb.pop()
+            d, r = d - 1, r - 1
+        sd.append(d)
+        sr.append(r)
+        sa.append(a)
+        sb.append(b)
+    return tuple(sd), tuple(sr)
+
+
+IDENTITY = _element((0,), (0,))
 
 
 def element_from_key(key: str) -> FElement:
@@ -89,19 +150,33 @@ def element_from_key(key: str) -> FElement:
 
 
 def multiply(a: FElement, b: FElement) -> FElement:
-    """Product a*b, i.e. apply a first, then b.
-
-    a maps its range pattern to its domain pattern; the common refinement of
-    a.domain and b.range is the middle pattern of the composite.
-    """
-    mid = merge(b.range, a.domain)
-    dom = graft(b.domain, align(b.range, mid))
-    rng = graft(a.range, align(a.domain, mid))
-    return FElement(dom, rng)
+    """Product a*b, i.e. apply a first, then b: one sweep over the breakpoints
+    of b.range and a.domain (see the module docstring)."""
+    xs, ys, bd, ar = b.rd, a.dd, b.dd, a.rd
+    t = max(max(xs), max(ys))
+    dd, rd = [], []
+    i = j = p = 0
+    n = len(xs)
+    end_x, end_y = 1 << (t - xs[0]), 1 << (t - ys[0])
+    while True:
+        x, y = xs[i], ys[j]
+        md = x if x > y else y
+        dd.append(md - x + bd[i])
+        rd.append(md - y + ar[j])
+        p += 1 << (t - md)
+        if p == end_x:
+            i += 1
+            if i == n:
+                break
+            end_x += 1 << (t - xs[i])
+        if p == end_y:
+            j += 1
+            end_y += 1 << (t - ys[j])
+    return _element(*_reduce(dd, rd))
 
 
 def invert(a: FElement) -> FElement:
-    return FElement(a.range, a.domain)
+    return _element(a.rd, a.dd)
 
 
 def power(a: FElement, n: int) -> FElement:

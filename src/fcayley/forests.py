@@ -36,9 +36,9 @@ class MarkedForest:
             raise ValueError(f"mark {mark} out of range for {len(trees)} trees")
         self.trees = trees
         self.mark = mark
-        self.enc = ";".join(
-            t.enc + ("*" if i == mark else "") for i, t in enumerate(trees)
-        )
+        encs = [t.enc for t in trees]
+        encs[mark] += "*"
+        self.enc = ";".join(encs)
 
     @property
     def leaves(self) -> int:
@@ -49,9 +49,6 @@ class MarkedForest:
 
     def __eq__(self, other):
         return isinstance(other, MarkedForest) and self.enc == other.enc
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.enc)
@@ -76,64 +73,64 @@ def parse_forest(s: str) -> MarkedForest:
     return MarkedForest(trees, mark)
 
 
-def _replace(trees: tuple, i: int, replacement: tuple) -> tuple:
-    return trees[:i] + replacement + trees[i + 1 :]
+def _move(f: MarkedForest, k: int, step: int) -> MarkedForest | None:
+    """x0 (step -1) and x0^-1 (step +1): move the marker one tree."""
+    j = f.mark + step
+    return MarkedForest(f.trees, j) if 0 <= j < len(f.trees) else None
 
 
-def _act_primitive(sym: str, sign: int, f: MarkedForest, k: int) -> MarkedForest | None:
+def _split(f: MarkedForest, k: int, right: int) -> MarkedForest | None:
+    """x1 (right 0) and xb1 (right 1): split the marked caret, mark one child."""
     trees, i = f.trees, f.mark
-    if sym == "x0":
-        if sign == 1:
-            return None if i == 0 else MarkedForest(trees, i - 1)
-        return None if i == len(trees) - 1 else MarkedForest(trees, i + 1)
-    if sym in ("x1", "xb1"):
-        if sign == 1:
-            t = trees[i]
-            if t.is_leaf():
-                return None
-            new_trees = _replace(trees, i, (t.left, t.right))
-            return MarkedForest(new_trees, i if sym == "x1" else i + 1)
-        if sym == "x1":
-            # merge marked tree with its right neighbour
-            if i == len(trees) - 1:
-                return None
-            t, tr = trees[i], trees[i + 1]
-            if t.height >= k or tr.height >= k:
-                return None
-            merged = caret(t, tr)
-            return MarkedForest(trees[:i] + (merged,) + trees[i + 2 :], i)
-        # xb1^-1: merge left neighbour with marked tree
-        if i == 0:
+    t = trees[i]
+    if t.is_leaf():
+        return None
+    return MarkedForest(trees[:i] + (t.left, t.right) + trees[i + 1:], i + right)
+
+
+def _merge(f: MarkedForest, k: int, left: int) -> MarkedForest | None:
+    """x1^-1 (left 0) merges the marked tree with its right neighbour, xb1^-1
+    (left 1) with its left one; both trees need height < k."""
+    trees, j = f.trees, f.mark - left
+    if j < 0 or j + 1 >= len(trees) or trees[j].height >= k or trees[j + 1].height >= k:
+        return None
+    return MarkedForest(trees[:j] + (caret(trees[j], trees[j + 1]),) + trees[j + 2:], j)
+
+
+PRIMITIVES = {("x0", 1): (_move, -1), ("x0", -1): (_move, 1),
+              ("x1", 1): (_split, 0), ("xb1", 1): (_split, 1),
+              ("x1", -1): (_merge, 0), ("xb1", -1): (_merge, 1)}
+
+
+def letter_steps(letter: str) -> tuple:
+    """The primitive steps, as (function, argument) pairs, one letter applies.
+
+    x2 is applied strictly as the composite x0^-1 * x1 * x0 (and its inverse
+    as x0^-1 * x1^-1 * x0).
+    """
+    sign = -1 if letter.endswith(INV) else 1
+    sym = base_symbol(letter_symbol(letter))
+    if sym == "x2":
+        return (PRIMITIVES["x0", -1], PRIMITIVES["x1", sign], PRIMITIVES["x0", 1])
+    if (sym, sign) not in PRIMITIVES:
+        raise ValueError(f"symbol {sym!r} has no forest action")
+    return (PRIMITIVES[sym, sign],)
+
+
+def _act_steps(steps, f: MarkedForest, k: int) -> MarkedForest | None:
+    for step, arg in steps:
+        f = step(f, k, arg)
+        if f is None:
             return None
-        tl, t = trees[i - 1], trees[i]
-        if tl.height >= k or t.height >= k:
-            return None
-        merged = caret(tl, t)
-        return MarkedForest(trees[: i - 1] + (merged,) + trees[i + 1 :], i - 1)
-    raise ValueError(f"unknown primitive generator {sym!r}")
+    return f
 
 
 def act(letter: str, f: MarkedForest, k: int) -> MarkedForest | None:
-    """Apply one letter of {x0, x1, xb1, x2}^{+-1} inside BB(n, k), or None.
-
-    x2 is applied strictly as the composite x0^-1 * x1 * x0 (and its inverse
-    as x0^-1 * x1^-1 * x0), going undefined as soon as any step is.
-    """
+    """Apply one letter of {x0, x1, xb1, x2}^{+-1} inside BB(n, k), or None,
+    going undefined as soon as any of its `letter_steps` is."""
     if k < 0:
         raise ValueError("height cap must be nonnegative")
-    sign = -1 if letter.endswith(INV) else 1
-    sym = base_symbol(letter_symbol(letter))
-    if sym in ("x0", "x1", "xb1"):
-        return _act_primitive(sym, sign, f, k)
-    if sym == "x2":
-        steps = [("x0", -1), ("x1", sign), ("x0", 1)]
-        out: MarkedForest | None = f
-        for s, sg in steps:
-            out = _act_primitive(s, sg, out, k)
-            if out is None:
-                return None
-        return out
-    raise ValueError(f"unknown generator {sym!r}")
+    return _act_steps(letter_steps(letter), f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +174,17 @@ def enumerate_bb(n: int, k: int, budget: int = DEFAULT_BUDGET) -> list[MarkedFor
 def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
                  budget: int = DEFAULT_BUDGET) -> Automaton:
     """BB(n, k) as an automaton over the given alphabet of forest generators."""
-    for s in alphabet.symbols:
-        if base_symbol(s) not in ("x0", "x1", "xb1", "x2"):
-            raise ValueError(f"symbol {s!r} has no forest action")
+    letters = [(a, letter_steps(a)) for a in alphabet.letters()]
     members = enumerate_bb(n, k, budget=budget)
     index = {f.enc: f for f in members}
     slots: dict[str, dict[str, str | None]] = {}
     for f in members:
         row: dict[str, str | None] = {}
-        for a in alphabet.letters():
-            g = act(a, f, k)
-            if g is None:
-                row[a] = None
-            elif g.enc not in index:
+        for a, steps in letters:
+            g = _act_steps(steps, f, k)
+            if g is not None and g.enc not in index:
                 raise AssertionError(f"action {a!r} left BB({n},{k})")
-            else:
-                row[a] = g.enc
+            row[a] = None if g is None else g.enc
         slots[f.enc] = row
     return Automaton(alphabet, slots, outer=None)
 
@@ -210,11 +202,6 @@ def find_y0(n: int, k: int) -> list[MarkedForest]:
 
 
 def is_y0_member(f: MarkedForest, k: int) -> bool:
-    if k < 1:
-        return False
     i = f.mark
-    if not f.trees[i].is_leaf():
-        return False
-    if i == 0 or i == len(f.trees) - 1:
-        return False
-    return f.trees[i - 1].height == k and f.trees[i + 1].height == k
+    return (k >= 1 and f.trees[i].is_leaf() and 0 < i < len(f.trees) - 1
+            and f.trees[i - 1].height == k and f.trees[i + 1].height == k)

@@ -1,8 +1,8 @@
-"""Rooted binary trees and the balanced-parentheses encoding used for vertex keys.
+"""Rooted binary trees (the trees of marked forests) and their encoding.
 
-A tree is either a leaf (encoded ".") or a caret over two subtrees
-(encoded "(" + left + right + ")").  Heights: a leaf has height 0, a caret
-has height max(children) + 1.
+A leaf is encoded "." and a caret "(" + left + right + ")"; vertex keys of
+forests and tree pairs use this encoding.  A leaf has height 0, a caret
+max(children) + 1.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class Tree:
 
     def __eq__(self, other):
         return isinstance(other, Tree) and self.enc == other.enc
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.enc)
@@ -78,74 +75,6 @@ def parse_tree(s: str) -> Tree:
     if pos != len(s):
         raise ValueError(f"trailing junk in tree encoding: {s!r}")
     return t
-
-
-def sibling_leaf_pairs(t: Tree) -> set[int]:
-    """Indices i such that leaves i and i+1 are the two children of one caret."""
-    out: set[int] = set()
-
-    def go(node: Tree, offset: int) -> None:
-        if node.is_leaf():
-            return
-        if node.left.is_leaf() and node.right.is_leaf():
-            out.add(offset)
-            return
-        go(node.left, offset)
-        go(node.right, offset + node.left.leaves)
-
-    go(t, 0)
-    return out
-
-
-def collapse_sibling(t: Tree, i: int) -> Tree:
-    """Replace the caret whose children are leaves i, i+1 by a single leaf."""
-    if t.is_leaf():
-        raise ValueError("no caret to collapse in a leaf")
-    if t.leaves == 2:
-        if i != 0:
-            raise ValueError(f"index {i} out of range")
-        return LEAF
-    nl = t.left.leaves
-    if i <= nl - 2:
-        return caret(collapse_sibling(t.left, i), t.right)
-    if i >= nl:
-        return caret(t.left, collapse_sibling(t.right, i - nl))
-    raise ValueError(f"leaves {i},{i + 1} are not siblings")
-
-
-def merge(a: Tree, b: Tree) -> Tree:
-    """Least common extension of two trees (union of their caret sets)."""
-    if a.is_leaf():
-        return b
-    if b.is_leaf():
-        return a
-    return caret(merge(a.left, b.left), merge(a.right, b.right))
-
-
-def align(t: Tree, e: Tree) -> list[Tree]:
-    """Subtrees of e sitting under the leaves of t, left to right.
-
-    Requires e to be an extension of t.
-    """
-    if t.is_leaf():
-        return [e]
-    if e.is_leaf():
-        raise ValueError("tree does not extend the pattern")
-    return align(t.left, e.left) + align(t.right, e.right)
-
-
-def graft(t: Tree, subs: list[Tree]) -> Tree:
-    """Replace the leaves of t, left to right, by the given subtrees."""
-    if len(subs) != t.leaves:
-        raise ValueError(f"need {t.leaves} subtrees, got {len(subs)}")
-    it = iter(subs)
-
-    def go(node: Tree) -> Tree:
-        if node.is_leaf():
-            return next(it)
-        return caret(go(node.left), go(node.right))
-
-    return go(t)
 
 
 @lru_cache(maxsize=None)

@@ -206,6 +206,7 @@ def test_obj_roundtrip_preserves_multiset():
 def test_malformed_automaton_objects():
     base = {"alphabet": ["a"], "vertices": ["u"], "edges": []}
     for bad in ({"edges": [5]}, {"values": ["x"]}, {"values": {"a": 5}},
-                {"values": {"a": "bogus"}}, {"vertices": [["u"]]}):
+                {"values": {"a": "bogus"}}, {"vertices": [["u"]]}, {"outer": 5},
+                {"outer": [1]}, {"alphabet": [1]}, {"values": {"a": ".|.", "b": ".|."}}):
         with pytest.raises(AutomatonFormatError):
             automaton_from_obj({**base, **bad})

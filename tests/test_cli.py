@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -262,9 +263,12 @@ def test_sweep_workers_clamped(monkeypatch):
 
 
 def test_malformed_automaton_files_exit_2(tmp_path, capsys):
-    for name, obj in (("edge.json", {"alphabet": ["a"], "vertices": ["u"], "edges": [5]}),
-                      ("values.json", {"alphabet": ["a"], "vertices": ["u"], "edges": [],
-                                       "values": ["x"]})):
+    base = {"alphabet": ["a"], "vertices": ["u"], "edges": []}
+    for name, obj in (("edge.json", {**base, "edges": [5]}),
+                      ("values.json", {**base, "values": ["x"]}),
+                      ("outer.json", {**base, "outer": 5}),
+                      ("symbol.json", {**base, "alphabet": [1]}),
+                      ("unknown.json", {**base, "values": {"a": ".|.", "b": ".|."}})):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
@@ -305,3 +309,30 @@ def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
         assert code == EXIT_VALIDATION, flag
         assert flag in capsys.readouterr().err
     assert not (tmp_path / "rep.json").exists()
+
+
+# sha256 of (automaton, report) for builds whose bytes must not change; the
+# report records the --out path, so the commands run with relative paths.
+PINNED_BUILDS = (
+    (["ball", "--r", "5", "--alphabet", "x0,x1", "--out", "ball5.json"],
+     "f440ff6dc227f7624132ac1fd257e61a956bae56dff13095f501c4b320f4f8cd",
+     "3bb4cd207d1a1b47462c1ed47443dcacd062fc38ffa7e50e21ce6212056c89a6"),
+    (["ball", "--r", "4", "--alphabet", "x0,x2,xb1", "--out", "ball4.json"],
+     "bb3eaaf758083962b96536431a52eb6775808b8862cc45a3b117c2beeac62064",
+     "f428b4cc1d818c58c57057379fecf2efe0f1a157f8528f45cee392774f492af5"),
+    (["bb", "--mode", "enumerate", "--n", "7", "--k", "3", "--alphabet", "x1,xb1,x0,x0",
+      "--out", "bb73.json"],
+     "4d850ae1815e2ea68dc936f7cdcaf95e122feb1432489aabf7d6c0b8bd6e6116",
+     "07ea022ce9adb79bdd57ad7ff73568634781504ed3aa2245d149cbc83ae1e7e3"),
+)
+
+
+@pytest.mark.parametrize("args,out_sha,report_sha", PINNED_BUILDS,
+                         ids=["ball5", "ball4", "bb73"])
+def test_build_bytes_are_pinned(tmp_path, monkeypatch, args, out_sha, report_sha):
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--report", "report.json", "--no-timestamp"]) == EXIT_OK
+    out = args[args.index("--out") + 1]
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest(out) == out_sha
+    assert digest("report.json") == report_sha

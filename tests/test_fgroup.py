@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tree_pairs
 from fcayley import fgroup
 from fcayley.fgroup import (
     IDENTITY,
@@ -23,7 +24,7 @@ from fcayley.fgroup import (
     word_commutator,
     word_inverse,
 )
-from fcayley.trees import parse_tree
+from fcayley.trees import LEAF, caret, parse_tree
 
 
 def random_element(rng, length):
@@ -153,3 +154,46 @@ def test_key_roundtrip():
 def test_word_inverse():
     w = (("x0", 1), ("x1", -1), ("x0", 1))
     assert evaluate(w + word_inverse(w)).is_identity()
+
+
+# x0, x1, xb1, x2 and their inverses: the letters of every supported alphabet
+GENERATORS = [X0, X1, generator_xbar1(), generator_x(2)]
+GENERATORS += [invert(g) for g in GENERATORS]
+
+
+def random_tree(rng, leaves):
+    if leaves == 1:
+        return LEAF
+    left = rng.randint(1, leaves - 1)
+    return caret(random_tree(rng, left), random_tree(rng, leaves - left))
+
+
+def test_multiply_matches_tree_reference_on_words():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = IDENTITY
+        ref = (g.domain, g.range)
+        for _ in range(rng.randint(0, 60)):
+            h = rng.choice(GENERATORS)
+            g = multiply(g, h)
+            ref = tree_pairs.multiply(ref, (h.domain, h.range))
+            assert g.key == tree_pairs.key(ref)
+
+
+def test_multiply_matches_tree_reference_on_unreduced_pairs():
+    rng = random.Random(12)
+    for _ in range(300):
+        leaves = rng.randint(1, 14)
+        d, r = random_tree(rng, leaves), random_tree(rng, leaves)
+        if rng.random() < 0.5:  # graft equal subtrees to force common carets
+            sub = random_tree(rng, rng.randint(1, 4))
+            i = rng.randrange(leaves)
+            subs = lambda: [sub if j == i else LEAF for j in range(leaves)]
+            d, r = tree_pairs.graft(d, subs()), tree_pairs.graft(r, subs())
+        a = FElement(d, r)
+        assert a.key == tree_pairs.key(tree_pairs.reduce_pair(d, r))
+        assert (a.domain.enc, a.range.enc) == tuple(a.key.split("|"))
+        h = rng.choice(GENERATORS)
+        for x, y in ((a, h), (h, a), (a, a)):
+            ref = tree_pairs.multiply((x.domain, x.range), (y.domain, y.range))
+            assert multiply(x, y).key == tree_pairs.key(ref)

@@ -1,16 +1,7 @@
 import pytest
 
-from fcayley.trees import (
-    LEAF,
-    align,
-    caret,
-    collapse_sibling,
-    enumerate_trees,
-    graft,
-    merge,
-    parse_tree,
-    sibling_leaf_pairs,
-)
+from fcayley.trees import LEAF, caret, enumerate_trees, parse_tree
+from tree_pairs import align, collapse_sibling, graft, merge, sibling_leaf_pairs
 
 
 def test_leaf_basics():
