@@ -128,17 +128,19 @@ class Automaton:
                  outer: frozenset[str] | None = None):
         self.alphabet = alphabet
         letters = alphabet.letters()
-        letter_set = set(letters)
         inverse = {a: letter_inverse(a) for a in letters}
         keys = tuple(sorted(slots))
         if not keys:
             raise ValueError("automaton must be nonempty")
+        # rows in letter order are kept: a copy would hold every row twice
         norm: dict[str, dict[str, str | None]] = {}
         for v in keys:
             row = slots[v]
-            if row.keys() != letter_set:
-                raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
-            norm[v] = {a: row[a] for a in letters}
+            if list(row) != letters:
+                if row.keys() != set(letters):
+                    raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
+                row = {a: row[a] for a in letters}
+            norm[v] = row
         for v in keys:
             for a, w in norm[v].items():
                 if w is None:

@@ -16,7 +16,6 @@ import sys
 
 from . import counting, evac, forests
 from .cayley import (
-    Automaton,
     AutomatonFormatError,
     SerreViolation,
     ball,
@@ -117,20 +116,21 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
     """Density/xi/p records over a (k, n, alphabet) grid, ordered as nested loops."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    jobs = [(k, n, spec) for k in k_values for n in n_values for spec in alphabet_specs]
+    # one job per height cap, so no two workers build the same count table
+    jobs = [(k, n_values, alphabet_specs) for k in k_values]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_one, jobs))
-    return [_sweep_one(job) for job in jobs]
+            return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
+    return [rec for job in jobs for rec in _sweep_k(job)]
 
 
-def _sweep_one(job):
-    k, n, spec = job
-    alphabet = make_alphabet(spec, with_values=False)
-    return counting.density_report(n, k, alphabet.symbols)
+def _sweep_k(job):
+    k, n_values, specs = job
+    symbols = [make_alphabet(spec, with_values=False).symbols for spec in specs]
+    return [counting.density_report(n, k, syms) for n in n_values for syms in symbols]
 
 
 def _sweep_csv(records, path) -> None:

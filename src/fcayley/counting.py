@@ -1,40 +1,39 @@
 """Exact big-integer counting for Brown-Belk sets and their boundary data.
 
-Per height cap k there are two series and three short polynomials:
+Per height cap k a table keeps two series up to x^n_max, both built from
+f_(k-1) through T = f_(k-1) F (f = x + f_(k-1)^2 counts trees of height <= k):
 
-  f      trees with height <= k by leaves    f = x + f_(k-1)^2, degree <= 2^k
-  F      forests, F = 1/(1-f)                F[n] = [x^n] F, F[0] = 1
-  S      pairs of forests, S = 1/(1-f)^2     M = S - F = f S: marked forests
-  h      f_(k-1)^2: two adjacent trees of height < k
-  gg     g^2, g = f - f_(k-1): two trees of height exactly k
+  F      forests, F = 1/(1-f) = 1 + x F + f_(k-1) T
+  G      forests whose last tree has height exactly k, G = (f - f_(k-1)) F = F - 1 - T
 
-Every count is a coefficient [x^m] P(x)/(1-f(x))^j, read off by one
-routine, `_coef(P, series, m)` = sum of P[l] * series[m-l]:
+Every count is an O(n) sum read off F or G, with S = F^2 (pairs of forests;
+M = S - F = f S counts marked forests) and h = f - x = f_(k-1)^2 (two
+adjacent trees of height < k), so h F = F - 1 - x F:
 
-  quantity                 value                  P     j
-  |BB(n, k)|               M[n] = S[n] - F[n]     1     2, 1
-  nu(x0), nu(x0^-1)        F[n]                   1     1
-  nu(x1), nu(xb1)          S[n-1]                 1     2
-  nu(x1^-1), nu(xb1^-1)    M[n] - [x^n] h S       h     2
-  nu(x2)                   F[n] + M[n-1]          1     1, 2
-  nu(x2^-1)                M[n] - [x^n] h M       h     2, 1
-  |Y0(n, k)|               [x^(n-1)] gg S         gg    2
-  xi_k(n)                  M[n-1] / M[n]          1     2, 1
+  quantity                 value
+  |BB(n, k)|               M[n] = S[n] - F[n],  S[m] = sum F[i] F[m-i]
+  nu(x0), nu(x0^-1)        F[n]
+  nu(x1), nu(xb1)          S[n-1]
+  nu(x1^-1), nu(xb1^-1)    M[n] - [x^n] h S,    [x^n] h S = sum (hF)[i] F[n-i]
+  nu(x2)                   F[n] + M[n-1]
+  nu(x2^-1)                M[n] - [x^n] h M,    [x^n] h M = [x^n] h S - (hF)[n]
+  |Y0(n, k)|               [x^(n-1)] G^2 = sum G[i] G[n-1-i]
+  xi_k(n)                  M[n-1] / M[n]
 
-A tree of height k has at most 2^k leaves, so F and S cost O(n min(n, 2^k))
-big-integer operations and each count O(min(n, 2^k)): n in the thousands,
-far past enumeration.  Ratios are exact Fractions; decimals appear only in
-rendered output.
+As h = f - x, [x^n] h S = M[n] - S[n-1]: nu(a) = nu(a^-1) on DP rows is an
+identity of the DP, not a check of it; the tests check the counts against
+enumeration and full-array reference series.  A table costs O(n min(n, 2^k))
+big-integer products (a tree of height k has at most 2^k leaves) and a count
+O(n).  Ratios are exact Fractions; decimals appear only in rendered output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from operator import mul
+from operator import mul, sub
 
-from .cayley import INV, base_symbol
+from .cayley import INV, base_symbol, decimal_str
 
 
 def _coef(P: list[int], series: list[int], n: int) -> int:
@@ -45,9 +44,12 @@ def _coef(P: list[int], series: list[int], n: int) -> int:
     return sum(map(mul, P[lo:hi + 1], reversed(series[n - hi:n - lo + 1])))
 
 
-def _square(P: list[int], cap: int) -> list[int]:
-    """P(x)^2 truncated after x^cap."""
-    return [_coef(P, P, l) for l in range(min(2 * len(P) - 1, cap + 1))]
+def _square_coef(P: list[int], m: int) -> int:
+    """[x^m] P(x)^2, each cross term P[i] P[m-i] (i < m-i) summed once."""
+    lo = max(0, m - len(P) + 1)
+    half = (m - 1) // 2
+    mid = P[m // 2] ** 2 if m % 2 == 0 and m // 2 < len(P) else 0
+    return 2 * sum(map(mul, P[lo:half + 1], reversed(P[m - half:m - lo + 1]))) + mid
 
 
 def tree_counts(k: int, max_leaves: int) -> list[int]:
@@ -57,33 +59,38 @@ def tree_counts(k: int, max_leaves: int) -> list[int]:
     f = [0, 1][:max_leaves + 1]
     # a tree with l leaves has height at most l - 1, so higher caps cannot bind
     for h in range(1, min(k, max_leaves - 1) + 1):
-        f = [0, 1] + [_coef(f, f, l) for l in range(2, min(max_leaves, 2 ** h) + 1)]
+        f = [0, 1] + [_square_coef(f, l) for l in range(2, min(max_leaves, 2 ** h) + 1)]
     return f + [0] * (max_leaves + 1 - len(f))
 
 
 class CountTable:
-    """The series F and S of one height cap up to n_max leaves, and the
-    short polynomials f, h and gg that the counts multiply them by."""
+    """The series F and G of one height cap up to n_max leaves."""
 
     def __init__(self, k: int, n_max: int):
         self.k = k
-        self.n_max = n_max
-        self.f = tree_counts(k, min(n_max, 2 ** k))
-        # the merge moves take their children from trees of height <= k-1
-        lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k >= 1 else [0]
-        self.h = _square(lower, n_max)
-        g = [a - b for a, b in zip_longest(self.f, lower, fillvalue=0)]
-        self.gg = _square(g, n_max)
-        self.F = [1]
-        for n in range(1, n_max + 1):
-            self.F.append(_coef(self.f, self.F, n))
-        self.S = [1]
-        for n in range(1, n_max + 1):
-            self.S.append(self.F[n] + _coef(self.f, self.S, n))
+        self.F, self.G = [1], [0]
+        self.grow(n_max)
+
+    def grow(self, n_max: int) -> None:
+        """Extend F and G to n_max leaves, keeping the prefix built so far."""
+        # f_(k-1) (f_(-1) = 0) up to its degree 2^(k-1); caps above n_max cannot bind
+        k = min(self.k, n_max + 1)
+        lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k else [0]
+        F, G = self.F, self.G
+        T = [0] + list(map(sub, F[1:], G[1:]))  # T = f_(k-1) F = F - 1 - G
+        for n in range(len(F), n_max + 1):
+            T.append(_coef(lower, F, n))
+            F.append(F[n - 1] + _coef(lower, T, n))
+            G.append(F[n] - T[n])
+        self.n_max = len(F) - 1
+
+    def S(self, m: int) -> int:
+        """S[m] = [x^m] F^2: ordered pairs of forests with m leaves in all."""
+        return _square_coef(self.F, m)
 
     def marked(self, n: int) -> int:
         """M[n] = S[n] - F[n] = |BB(n, k)|."""
-        return self.S[n] - self.F[n]
+        return self.S(n) - self.F[n]
 
 
 TABLES_KEPT = 16  # height caps whose tables stay cached
@@ -91,11 +98,11 @@ _tables: dict[int, CountTable] = {}  # least recently used first
 
 
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap, rebuilt with at least twice the leaf
+    """Shared table for a height cap, grown to at least twice its leaf
     budget when n outgrows it."""
-    t = _tables.pop(k, None)
-    if t is None or t.n_max < n:
-        t = CountTable(k, max(n, 2 * t.n_max if t else n))
+    t = _tables.pop(k, None) or CountTable(k, 0)
+    if t.n_max < n:
+        t.grow(max(n, 2 * t.n_max))
     _tables[k] = t
     if len(_tables) > TABLES_KEPT:
         del _tables[next(iter(_tables))]
@@ -115,8 +122,7 @@ def y0_count(n: int, k: int) -> int:
         raise ValueError("n must be positive")
     if k < 1:
         return 0
-    t = table(k, n)
-    return _coef(t.gg, t.S, n - 1)
+    return _square_coef(table(k, n).G, n - 1)
 
 
 def p_fraction(n: int, k: int) -> Fraction:
@@ -127,24 +133,22 @@ def p_fraction(n: int, k: int) -> Fraction:
 def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     """Exact per-letter counts of vertices of BB(n, k) not accepting the letter.
 
-    Each count follows the acceptance rule of its own letter; the symmetric
-    property nu(a) = nu(a^-1) is a theorem about Cayley subgraphs, so it
-    comes out of these independent formulas as a cross-check rather than
-    being assumed.
+    Each count follows the acceptance rule of its own letter; as h = f - x,
+    the counts of a and a^-1 agree by an identity of the DP.
     """
     if n < 1:
         raise ValueError("n must be positive")
     t = table(k, n)
-    F, S, M = t.F, t.S, t.marked
-    hS = _coef(t.h, S, n)
-    hM = hS - _coef(t.h, F, n)
+    F, S1, M = t.F, t.S(n - 1), t.marked(n)
+    hF = list(map(sub, F[1:n + 1], F[:n]))  # (hF)[1..n], h F = F - 1 - x F
+    hS = sum(map(mul, hF, reversed(F[:n])))
     by_base = {
         # marker leftmost / rightmost
         "x0": (F[n], F[n]),
         # marked tree trivial / no right neighbour to merge with
-        "x1": (S[n - 1], M(n) - hS),
+        "x1": (S1, M - hS),
         # no or a trivial right neighbour / no two right neighbours to merge
-        "x2": (F[n] + M(n - 1), M(n) - hM),
+        "x2": (F[n] + S1 - F[n - 1], M - hS + hF[-1]),
     }
     by_base["xb1"] = by_base["x1"]
     out: dict[str, int] = {}
@@ -171,8 +175,6 @@ class DensityRecord:
     xi: Fraction | None
 
     def as_obj(self) -> dict:
-        from .cayley import decimal_str
-
         return {
             "n": self.n,
             "k": self.k,

@@ -207,7 +207,7 @@ def test_evac_deterministic_bytes(tmp_path):
 
 def test_sweep_threads_match_serial(tmp_path):
     a, b = tmp_path / "serial.json", tmp_path / "pool.json"
-    base = ["sweep", "--k", "1,2", "--n", "6,8", "--alphabets", "x0,x1",
+    base = ["sweep", "--k", "1,2,3", "--n", "6,8", "--alphabets", "x0,x1;x1,x0,x2",
             "--no-timestamp"]
     assert run(base + ["--out", str(a)]) == EXIT_OK
     assert run(base + ["--threads", "2", "--out", str(b)]) == EXIT_OK
@@ -256,10 +256,12 @@ def test_sweep_workers_clamped(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    records = sweep_records([1, 2], [4, 5, 6], ["x0,x1"], threads=10000)
-    assert started == [4] and len(records) == 6
-    sweep_records([1], [4, 5], ["x0,x1"], threads=10000)
-    assert started == [4, 2]  # no more workers than jobs
+    records = sweep_records([0, 1, 2, 3, 4, 5], [4, 5], ["x0,x1"], threads=10000)
+    assert started == [4] and len(records) == 12  # no more workers than CPUs
+    sweep_records([1, 2], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
+    assert started == [4, 2]  # no more workers than height caps
+    sweep_records([1], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
+    assert started == [4, 2]  # one height cap runs in this process
 
 
 def test_malformed_automaton_files_exit_2(tmp_path, capsys):
@@ -291,15 +293,25 @@ def test_malformed_certificate_files_exit_2(tmp_path, capsys):
 
 
 def test_bb_count_mode_with_unbinding_height_cap(tmp_path):
+    import tracemalloc
+
     records = []
-    for k in ("5", "1200"):
+    for k in ("4", "5", "1200", "100000000"):
         out = tmp_path / f"bb_{k}.json"
-        assert run(["bb", "--n", "5", "--k", k, "--mode", "count",
-                    "--out", str(out), "--no-timestamp"]) == EXIT_OK
-        records.append(read_json(out)["record"])
-    capped, uncapped = records
-    assert uncapped["size"] == capped["size"] == "90"
-    assert uncapped["nu"] == capped["nu"]
+        tracemalloc.start()
+        try:
+            assert run(["bb", "--n", "5", "--k", k, "--mode", "count",
+                        "--out", str(out), "--no-timestamp"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # caps above n - 1 cannot bind, so no 2^k-sized integer is ever made
+        assert peak < 4 * 2 ** 20, (k, peak)
+        record = read_json(out)["record"]
+        assert record.pop("k") == int(k)
+        records.append(record)
+    assert records[0]["size"] == "90"
+    assert all(rec == records[0] for rec in records)
 
 
 def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
@@ -336,3 +348,14 @@ def test_build_bytes_are_pinned(tmp_path, monkeypatch, args, out_sha, report_sha
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest(out) == out_sha
     assert digest("report.json") == report_sha
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    # sha256 of a sweep over every small height cap, a regrown table (n = 300)
+    # and a multiset alphabet with all four letters; the bytes must not change
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--k", "0:6", "--n", "1:40,300",
+                "--alphabets", "x0,x1;x1,xb1,x0,x0,x2",
+                "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4957b4096e6c055459f3da8e64ce5c586b61288975f1c4ac1d63159fe8e8e570")

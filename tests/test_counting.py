@@ -58,6 +58,8 @@ def test_bb_count_examples():
     assert bb_count(2, 1) == 3
     for n in range(1, 10):
         assert bb_count(n, 0) == n
+    with pytest.raises(ValueError):
+        bb_count(3, -1)
 
 
 def test_bb_count_monotone_and_stable_when_cap_free():
@@ -78,7 +80,7 @@ def test_catalan_cross_checks():
     for n in range(1, 9):
         t = CountTable(max(1, n - 1), n)
         assert t.F[n] == catalan(n)
-        assert t.S[n] == catalan(n + 1)
+        assert t.S(n) == catalan(n + 1)
 
 
 def _conv(a, b, N):
@@ -232,11 +234,21 @@ def test_trimming_constants():
 
 def test_table_cache_growth():
     t1 = counting.table(1, 10)
-    before = [(t1.F[n], t1.S[n], t1.marked(n)) for n in range(11)]
+    before = [(t1.F[n], t1.G[n], t1.S(n), t1.marked(n)) for n in range(11)]
     t2 = counting.table(1, 500)
     assert t2.n_max >= 500
-    assert [(t2.F[n], t2.S[n], t2.marked(n)) for n in range(11)] == before
+    assert [(t2.F[n], t2.G[n], t2.S(n), t2.marked(n)) for n in range(11)] == before
     assert counting.table(1, 400) is t2  # no rebuild below the budget
+
+
+def test_regrown_table_equals_fresh_table():
+    for k in (0, 1, 3, 6, 50):
+        t = CountTable(k, 1)
+        for n_max in (2, 5, 37, 100):
+            t.grow(n_max)
+            fresh = CountTable(k, n_max)
+            assert t.n_max == fresh.n_max == n_max
+            assert (t.F, t.G) == (fresh.F, fresh.G), (k, n_max)
 
 
 def test_table_cache_is_bounded():
