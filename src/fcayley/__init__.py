@@ -4,7 +4,7 @@ Modules:
   trees     rooted binary trees and their canonical encoding
   fgroup    reduced tree-pair arithmetic, presentations, automorphism checks
   cayley    finite Cayley subgraphs (automata), boundary/density reports, files
-  forests   marked forests, partial generator actions, Brown-Belk sets BB(n, k)
+  forests   Brown-Belk sets BB(n, k) and the partial generator actions on them
   counting  big-integer DP for |BB|, per-letter boundary counts, xi and trimming
   evac      evacuation-scheme solver, Hall oracle, flow certificates, relabelling
   cli       batch command-line front end
@@ -22,7 +22,7 @@ from .cayley import (
     make_alphabet,
     save_automaton,
 )
-from .forests import MarkedForest, act, bb_automaton, enumerate_bb, find_y0
+from .forests import bb_automaton
 from .counting import bb_count, density_report, nu_counts, trimmed_density, xi_estimate, y0_count
 from .evac import (
     EvacScheme,

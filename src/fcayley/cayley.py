@@ -8,13 +8,25 @@ Mutually inverse slots must pair up (Serre condition).
 Letters are strings: a positive letter is its symbol name, the inverse
 carries the suffix "^-1".  A multiset alphabet uses distinct symbol names
 bound to equal group values (e.g. "x0" and "x0@2").
+
+Vertex core.  An automaton is the sorted tuple `keys` (vertex i is keys[i])
+and one flat array `tgt`: tgt[i * 2m + j] is the vertex that slot j of
+vertex i targets, or -1 for a boundary slot, slots in `letters()` order, so
+slot (j + m) mod 2m is the inverse of slot j.  Builders, the Serre check,
+reports, the solver and the file writer work on these integers; key strings
+are rendered once per vertex, and `slots` renders rows only when asked.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, islice
+from operator import ge, ne
+from types import MappingProxyType
 
 from . import fgroup
 from .fgroup import FElement, element_from_key
@@ -121,62 +133,122 @@ def make_alphabet(spec: str, with_values: bool = True) -> GenAlphabet:
 
 
 class Automaton:
-    """Immutable labelled Serre graph with per-vertex acceptance slots."""
+    """Immutable labelled Serre graph on the vertex core `keys`, `tgt`."""
 
     def __init__(self, alphabet: GenAlphabet,
                  slots: dict[str, dict[str, str | None]],
                  outer: frozenset[str] | None = None):
-        self.alphabet = alphabet
+        """Automaton from rows letter -> target key or None, one per vertex."""
         letters = alphabet.letters()
-        inverse = {a: letter_inverse(a) for a in letters}
-        keys = tuple(sorted(slots))
+        index = {v: i for i, v in enumerate(slots)}
+        for v, row in slots.items():
+            if row.keys() != set(letters):
+                raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
+            for a, w in row.items():
+                if w is not None and w not in index:
+                    raise AutomatonFormatError(f"edge ({v!r}, {a!r}) targets unknown vertex {w!r}")
+        tgt = array("i", [index.get(row[a], -1) for row in slots.values() for a in letters])
+        self._set_core(alphabet, list(slots), tgt, outer)
+
+    @classmethod
+    def from_targets(cls, alphabet: GenAlphabet, keys: list[str], tgt: array,
+                     outer: frozenset[str] | None = None) -> "Automaton":
+        """Automaton from distinct keys in any order and their target rows
+        (`tgt` as in the module docstring, indexed by position in `keys`)."""
+        aut = cls.__new__(cls)
+        aut._set_core(alphabet, keys, tgt, outer)
+        return aut
+
+    def _set_core(self, alphabet, keys, tgt, outer) -> None:
         if not keys:
             raise ValueError("automaton must be nonempty")
-        # rows in letter order are kept: a copy would hold every row twice
-        norm: dict[str, dict[str, str | None]] = {}
-        for v in keys:
-            row = slots[v]
-            if list(row) != letters:
-                if row.keys() != set(letters):
-                    raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
-                row = {a: row[a] for a in letters}
-            norm[v] = row
-        for v in keys:
-            for a, w in norm[v].items():
-                if w is None:
-                    continue
-                if w not in norm:
-                    raise AutomatonFormatError(f"edge ({v!r}, {a!r}) targets unknown vertex {w!r}")
-                if norm[w][inverse[a]] != v:
-                    raise SerreViolation(
-                        f"edge ({v!r}, {a!r}, {w!r}) has no inverse edge "
-                        f"({w!r}, {inverse[a]!r}, {v!r})")
-        self.keys = keys
-        self.slots = norm
-        self.outer = outer
+        d = 2 * alphabet.m
+        if any(map(ge, keys, keys[1:])):  # sort, and renumber the targets
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            rank = [0] * (len(keys) + 1)  # rank[-1] = -1 keeps boundary slots
+            for r, i in enumerate(order):
+                rank[i] = r
+            rank[-1] = -1
+            keys = [keys[i] for i in order]
+            old, tgt = tgt, array("i", bytes(4 * len(tgt)))
+            for j in range(d):
+                col = old[j::d]
+                tgt[j::d] = array("i", map(rank.__getitem__, map(col.__getitem__, order)))
+        self.alphabet, self.keys, self.tgt, self.outer = alphabet, tuple(keys), tgt, outer
+        self._check_serre()
+
+    def _check_serre(self) -> None:
+        """Every slot j of v targeting w is matched by slot j + m of w targeting v."""
+        m = self.alphabet.m
+        tgt, d = self.tgt, 2 * m
+        for j in range(m):
+            fwd, back = tgt[j::d], tgt[j + m::d]
+            # back[fwd[v]] == v wherever fwd[v] >= 0, and -1 != v elsewhere;
+            # one way, with as many slots each way, makes a bijection
+            back.append(-1)
+            misses = sum(map(ne, map(back.__getitem__, fwd), range(len(fwd))))
+            if not misses == fwd.count(-1) == back.count(-1) - 1:
+                break
+        else:
+            return
+        keys, letters = self.keys, self.alphabet.letters()
+        for e, w in enumerate(tgt):
+            a, b = e % d, (e + m) % d
+            if w >= 0 and tgt[w * d + b] != e // d:
+                v, w = keys[e // d], keys[w]
+                raise SerreViolation(f"edge ({v!r}, {letters[a]!r}, {w!r}) has no inverse "
+                                     f"edge ({w!r}, {letters[b]!r}, {v!r})")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Vertex number of each key."""
+        return {v: i for i, v in enumerate(self.keys)}
+
+    @cached_property
+    def slots(self) -> MappingProxyType:
+        """Read-only rows letter -> target key or None, built on first use."""
+        keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
+        return MappingProxyType({v: {a: keys[w] if w >= 0 else None
+                                     for a, w in zip(letters, self.tgt[i * d:i * d + d])}
+                                 for i, v in enumerate(keys)})
 
     def __len__(self):
         return len(self.keys)
 
     def __contains__(self, key: str):
-        return key in self.slots
+        return key in self.index
 
     def accepts(self, v: str, letter: str) -> bool:
         return self.slots[v][letter] is not None
 
+    def boundary_flags(self) -> list[bool]:
+        """Per vertex number, whether it has a boundary slot."""
+        tgt, d = self.tgt, 2 * self.alphabet.m
+        return list(map((-1).__eq__, map(min, *(tgt[j::d] for j in range(d)))))
+
     def inner_boundary(self) -> tuple[str, ...]:
         """Vertices with at least one boundary slot."""
-        return tuple(v for v in self.keys
-                     if any(t is None for t in self.slots[v].values()))
+        return tuple(compress(self.keys, self.boundary_flags()))
 
     def directed_edges(self) -> list[tuple[str, str, str]]:
         """All accepted directed edges as (source, letter, target) triples."""
-        return [(v, a, w) for v in self.keys
-                for a, w in self.slots[v].items() if w is not None]
+        keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
+        return [(keys[e // d], letters[e % d], keys[w]) for e, w in enumerate(self.tgt) if w >= 0]
 
     def geometric_edges(self) -> list[tuple[str, str, str]]:
         """One triple per inverse pair, with a positive letter."""
         return [(v, a, w) for v, a, w in self.directed_edges() if not a.endswith(INV)]
+
+    def sorted_edges(self):
+        """Geometric edges as (source, letter, target) numbers, ordered as
+        their key triples: keys are sorted and a slot has one target."""
+        symbols, d, tgt = self.alphabet.symbols, 2 * self.alphabet.m, self.tgt
+        cols = sorted(range(len(symbols)), key=symbols.__getitem__)
+        for v in range(len(self.keys)):
+            for j in cols:
+                w = tgt[v * d + j]
+                if w >= 0:
+                    yield v, j, w
 
     def restrict(self, keys) -> "Automaton":
         """Induced sub-automaton on a subset of vertices (ambient info dropped)."""
@@ -252,15 +324,8 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
 
 def boundary_report(aut: Automaton) -> BoundaryReport:
     m = aut.alphabet.m
-    nu = {a: 0 for a in aut.alphabet.letters()}
-    inner = 0
-    for v in aut.keys:
-        row = aut.slots[v]
-        missing = [a for a, t in row.items() if t is None]
-        if missing:
-            inner += 1
-            for a in missing:
-                nu[a] += 1
+    nu = {a: aut.tgt[j::2 * m].count(-1) for j, a in enumerate(aut.alphabet.letters())}
+    inner = sum(aut.boundary_flags())
     cheeger = sum(nu.values())
     size = len(aut)
     density = Fraction(2 * m * size - cheeger, size)
@@ -278,29 +343,12 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 
 
 def ball(r: int, alphabet: GenAlphabet) -> Automaton:
-    """Ball of radius r around the identity, as an automaton with ambient data.
-
-    The products that grow B(r) from B(r-1) are kept as the slot rows of
-    B(r-1), so only the sphere is multiplied again.
-    """
+    """Ball of radius r around the identity, as an automaton with ambient data."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
-    values = [alphabet.value(a) for a in alphabet.letters()]
-    elements = {fgroup.IDENTITY.key: fgroup.IDENTITY}
-    products: dict[str, list[FElement]] = {}
-    frontier = [fgroup.IDENTITY]
-    for _ in range(r):
-        nxt = []
-        for g in frontier:
-            row = products[g.key] = [fgroup.multiply(g, v) for v in values]
-            for h in row:
-                if h.key not in elements:
-                    elements[h.key] = h
-                    nxt.append(h)
-        frontier = nxt
-    return _cayley_automaton(elements, alphabet, values, products)
+    return _cayley_automaton([fgroup.IDENTITY], alphabet, r + 1)
 
 
 def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
@@ -315,22 +363,31 @@ def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
         elements[key] = g
     if not elements:
         raise ValueError("empty vertex set")
+    return _cayley_automaton(list(elements.values()), alphabet, 1)
+
+
+def _cayley_automaton(elements: list[FElement], alphabet: GenAlphabet,
+                      rounds: int) -> Automaton:
+    """Slots g -> g*a: each round multiplies the elements the round before
+    found (the first, the given ones).  Multiplied elements are the vertices,
+    the last round's new products are outer; elements are numbered as found,
+    and a key is rendered only for a reduced depth pair not seen before."""
     values = [alphabet.value(a) for a in alphabet.letters()]
-    return _cayley_automaton(elements, alphabet, values, {})
-
-
-def _cayley_automaton(elements: dict[str, FElement], alphabet: GenAlphabet,
-                      values: list[FElement],
-                      products: dict[str, list[FElement]]) -> Automaton:
-    """Slots g -> g*a for every element; `products` holds rows already computed."""
-    letters = alphabet.letters()
-    slots: dict[str, dict[str, str | None]] = {}
-    outer: set[str] = set()
-    for key, g in elements.items():
-        row = [h.key for h in products.get(key) or [fgroup.multiply(g, v) for v in values]]
-        slots[key] = {a: h if h in elements else None for a, h in zip(letters, row)}
-        outer.update(h for h in row if h not in elements)
-    return Automaton(alphabet, slots, outer=frozenset(outer))
+    number = {(g.dd, g.rd): i for i, g in enumerate(elements)}
+    rows: list[int] = []
+    size = 0
+    for _ in range(rounds):
+        start, size = size, len(elements)
+        for g in elements[start:size]:
+            for v in values:
+                pair = fgroup.product(g, v)
+                if pair not in number:
+                    number[pair] = len(elements)
+                    elements.append(fgroup.from_depths(*pair))
+                rows.append(number[pair])
+    tgt = array("i", [w if w < size else -1 for w in rows])
+    outer = frozenset(g.key for g in elements[size:])
+    return Automaton.from_targets(alphabet, [g.key for g in elements[:size]], tgt, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +397,23 @@ FORMAT_NAME = "fcayley-automaton"
 
 
 def automaton_to_obj(aut: Automaton) -> dict:
+    keys, letters = aut.keys, aut.alphabet.letters()
     obj: dict = {
         "format": FORMAT_NAME,
         "alphabet": list(aut.alphabet.symbols),
-        "vertices": list(aut.keys),
-        "edges": sorted(aut.geometric_edges()),
+        "vertices": list(keys),
+        "edges": [[keys[v], letters[j], keys[w]] for v, j, w in aut.sorted_edges()],
+        "values": _values_obj(aut.alphabet),
     }
-    if aut.alphabet.has_values():
-        obj["values"] = {s: aut.alphabet.values[s].key for s in aut.alphabet.symbols}
-    else:
-        obj["values"] = None
     if aut.outer is not None:
         obj["outer"] = sorted(aut.outer)
     return obj
+
+
+def _values_obj(alphabet: GenAlphabet) -> dict | None:
+    if not alphabet.has_values():
+        return None
+    return {s: alphabet.values[s].key for s in alphabet.symbols}
 
 
 def is_edge_entry(entry) -> bool:
@@ -390,42 +451,72 @@ def automaton_from_obj(obj: dict) -> Automaton:
         except ValueError as exc:
             raise AutomatonFormatError(str(exc)) from None
     alphabet = GenAlphabet(symbols, values)
-    letters = set(alphabet.letters())
-    if len(set(vertices)) != len(vertices):
+    letters = alphabet.letters()
+    d = len(letters)
+    slot = {a: j for j, a in enumerate(letters)}
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
         raise AutomatonFormatError("duplicate vertex keys")
-    slots: dict[str, dict[str, str | None]] = {
-        v: {a: None for a in alphabet.letters()} for v in vertices
-    }
+    tgt = array("i", [-1]) * (d * len(vertices))
     # Default format lists one directed edge per inverse pair and the loader
     # fills both slots.  With "directed": true every directed edge must be
     # listed explicitly, and `Automaton` rejects a missing inverse.
     directed = bool(obj.get("directed", False))
 
-    def set_slot(src: str, lab: str, dst: str) -> None:
-        cur = slots[src][lab]
-        if cur is not None and cur != dst:
+    def set_slot(u: int, j: int, w: int) -> None:
+        cur = tgt[u * d + j]
+        if cur >= 0 and cur != w:
             raise AutomatonFormatError(
-                f"duplicate slot ({src!r}, {lab!r}) targets both {cur!r} and {dst!r}")
-        slots[src][lab] = dst
+                f"duplicate slot ({vertices[u]!r}, {letters[j]!r}) targets both "
+                f"{vertices[cur]!r} and {vertices[w]!r}")
+        tgt[u * d + j] = w
 
     for entry in edges:
         if not is_edge_entry(entry):
             raise AutomatonFormatError(f"bad edge entry {entry!r}")
         u, a, w = entry
-        if a not in letters:
+        if a not in slot:
             raise AutomatonFormatError(f"edge with unknown letter {a!r}")
-        if u not in slots or w not in slots:
+        if u not in index or w not in index:
             raise AutomatonFormatError(f"edge {entry!r} references unknown vertex")
-        set_slot(u, a, w)
+        set_slot(index[u], slot[a], index[w])
         if not directed:
-            set_slot(w, letter_inverse(a), u)
-    return Automaton(alphabet, slots, outer=frozenset(outer) if outer is not None else None)
+            set_slot(index[w], (slot[a] + d // 2) % d, index[u])
+    return Automaton.from_targets(alphabet, vertices, tgt,
+                                  outer=frozenset(outer) if outer is not None else None)
 
 
 def save_automaton(aut: Automaton, path) -> None:
+    """Write the bytes `json.dump(automaton_to_obj(aut), fh, indent=1,
+    sort_keys=True)` and a newline would, with the C string encoder and the
+    edges taken in order from the core, in chunks of rows."""
+    enc = json.encoder.encode_basestring_ascii
+    keys = [enc(v) for v in aut.keys]
+    letters = [enc(a) for a in aut.alphabet.letters()]
+    values = json.dumps(_values_obj(aut.alphabet), indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(automaton_to_obj(aut), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n "alphabet": ')
+        _write_list(fh, map(enc, aut.alphabet.symbols))
+        fh.write(',\n "edges": ')
+        _write_list(fh, (f"[\n   {keys[v]},\n   {letters[j]},\n   {keys[w]}\n  ]"
+                         for v, j, w in aut.sorted_edges()))
+        fh.write(',\n "format": ' + enc(FORMAT_NAME))
+        if aut.outer is not None:
+            fh.write(',\n "outer": ')
+            _write_list(fh, map(enc, sorted(aut.outer)))
+        fh.write(',\n "values": ' + values.replace("\n", "\n "))
+        fh.write(',\n "vertices": ')
+        _write_list(fh, keys)
+        fh.write("\n}\n")
+
+
+def _write_list(fh, items) -> None:
+    """Encoded items as an indent-1 JSON list one level deep, 4096 per write."""
+    items, sep = iter(items), "[\n  "
+    while part := ",\n  ".join(islice(items, 4096)):
+        fh.write(sep + part)
+        sep = ",\n  "
+    fh.write("[]" if sep[0] == "[" else "\n ]")
 
 
 def load_automaton(path) -> Automaton:

@@ -214,7 +214,7 @@ def cmd_selftest(args) -> int:
     rep = boundary_report(b1)
     checks.append(("delta + iota = 2m", rep.density + rep.iota == 4))
     checks.append(("BB(2,1) count", counting.bb_count(2, 1) == 3
-                   and len(forests.enumerate_bb(2, 1)) == 3))
+                   and len(forests.bb_automaton(2, 1, make_alphabet("x0,x1"))) == 3))
     res = evac.solve_pure(b1)
     checks.append(("ball(1) pure scheme", res.exists))
     chain = evac.blocked_chain_automaton()

@@ -56,9 +56,11 @@ def tree_counts(k: int, max_leaves: int) -> list[int]:
     """f[0..max_leaves]: trees with the given leaf count and height <= k."""
     if k < 0 or max_leaves < 0:
         raise ValueError("k and max_leaves must be nonnegative")
+    if k >= max_leaves - 1:
+        # a tree with l leaves has height at most l - 1: the cap cannot bind
+        return [0] + [catalan(l - 1) for l in range(1, max_leaves + 1)]
     f = [0, 1][:max_leaves + 1]
-    # a tree with l leaves has height at most l - 1, so higher caps cannot bind
-    for h in range(1, min(k, max_leaves - 1) + 1):
+    for h in range(1, k + 1):
         f = [0, 1] + [_square_coef(f, l) for l in range(2, min(max_leaves, 2 ** h) + 1)]
     return f + [0] * (max_leaves + 1 - len(f))
 
@@ -69,6 +71,7 @@ class CountTable:
     def __init__(self, k: int, n_max: int):
         self.k = k
         self.F, self.G = [1], [0]
+        self._S: dict[int, int] = {}  # S[m] read so far; growing keeps them
         self.grow(n_max)
 
     def grow(self, n_max: int) -> None:
@@ -86,7 +89,9 @@ class CountTable:
 
     def S(self, m: int) -> int:
         """S[m] = [x^m] F^2: ordered pairs of forests with m leaves in all."""
-        return _square_coef(self.F, m)
+        if m not in self._S:
+            self._S[m] = _square_coef(self.F, m)
+        return self._S[m]
 
     def marked(self, n: int) -> int:
         """M[n] = S[n] - F[n] = |BB(n, k)|."""

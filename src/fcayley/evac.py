@@ -103,12 +103,14 @@ class SolveResult:
 def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
     """Raise SchemeValidationError unless the scheme is a valid evacuation
     scheme on the automaton (purity conditions included when K = 1)."""
-    boundary = set(aut.inner_boundary())
+    index, tgt, d = aut.index, aut.tgt, 2 * aut.alphabet.m
+    slot = {a: j for j, a in enumerate(aut.alphabet.letters())}
+    boundary = aut.boundary_flags()
     if set(scheme.paths) != set(aut.keys):
         raise SchemeValidationError("scheme must assign a path to every vertex")
     for v, path in scheme.paths.items():
         if not path:
-            if v not in boundary:
+            if not boundary[index[v]]:
                 raise SchemeValidationError(
                     f"empty path at {v!r}, which is not a boundary vertex")
             continue
@@ -117,14 +119,14 @@ def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
         for (u, a, w) in path:
             if u != cur:
                 raise SchemeValidationError(f"path of {v!r} breaks at {u!r}")
-            if aut.slots[u].get(a) != w:
+            if a not in slot or w not in index or tgt[index[u] * d + slot[a]] != index[w]:
                 raise SchemeValidationError(
                     f"path of {v!r} uses a non-edge ({u!r}, {a!r}, {w!r})")
             if scheme.K == 1 and w in seen:
                 raise SchemeValidationError(f"path of {v!r} revisits {w!r}")
             seen.add(w)
             cur = w
-        if cur not in boundary:
+        if not boundary[index[cur]]:
             raise SchemeValidationError(
                 f"path of {v!r} ends at {cur!r}, not on the inner boundary")
     usage = scheme.edge_usage()
@@ -145,21 +147,18 @@ def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
 def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
     """Evacuation scheme with edge capacity K, or a Hall witness when none exists.
 
-    Arc e = v * 2m + j is slot j of vertex v and tgt[e] its target (-1 for a
-    boundary slot); the Serre pairing makes (tgt[e], (j + m) mod 2m) its
-    inverse.  One antisymmetric flow f[e] = -f[inv e] carries the units, so
+    Arc e = v * 2m + j is slot j of vertex v and aut.tgt[e] its target (-1
+    for a boundary slot); the Serre pairing makes (tgt[e], (j + m) mod 2m)
+    its inverse.  One antisymmetric flow f[e] = -f[inv e] carries the units, so
     an arc has residual capacity K - f[e] and never shares flow with its
     inverse.  Internal vertices, in key order, route their unit along a
     shortest residual path to the boundary.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    keys, letters = aut.keys, aut.alphabet.letters()
+    keys, letters, tgt = aut.keys, aut.alphabet.letters(), aut.tgt
     d = len(letters)
-    index = {v: i for i, v in enumerate(keys)}
-    tgt = [-1 if w is None else index[w]
-           for v in keys for w in (aut.slots[v][a] for a in letters)]
-    is_boundary = [-1 in tgt[e:e + d] for e in range(0, len(tgt), d)]
+    is_boundary = aut.boundary_flags()
     if not any(is_boundary):
         raise NoEvacuationTarget("automaton has no boundary slots")
     f = [0] * len(tgt)
@@ -244,12 +243,9 @@ def _walk(tgt, f, d, is_boundary, s) -> list[int]:
 
 def cheeger_out(aut: Automaton, zset: set[str]) -> int:
     """Directed edges from zset to its complement (inside or outside Y)."""
-    count = 0
-    for v in zset:
-        for a, w in aut.slots[v].items():
-            if w is None or w not in zset:
-                count += 1
-    return count
+    d, index, tgt = 2 * aut.alphabet.m, aut.index, aut.tgt
+    z = {index[v] for v in zset}
+    return sum(w not in z for i in z for w in tgt[i * d:i * d + d])
 
 
 def hall_oracle(aut: Automaton, K: int = 1, guard: int = 20) -> Witness | None:
@@ -346,7 +342,7 @@ def relation_to_scheme(aut: Automaton, pairs, sinks=None) -> EvacScheme:
     for head, tail in pairs:
         if head not in aut.slots or tail not in aut.slots:
             raise ValueError(f"pair ({head!r}, {tail!r}) mentions unknown vertices")
-        if not any(aut.slots[tail][a] == head for a in aut.alphabet.letters()):
+        if head not in aut.slots[tail].values():
             raise ValueError(f"pair ({head!r}, {tail!r}) spans no edge {tail!r} -> {head!r}")
         pre[tail].append(head)
         n_img[head] += 1
@@ -368,7 +364,7 @@ def relation_to_scheme(aut: Automaton, pairs, sinks=None) -> EvacScheme:
                 raise AssertionError(f"chain stuck at non-sink {cur!r}")
             nxt = pre[cur].pop()
             n_img[nxt] -= 1
-            letter = next(a for a in aut.alphabet.letters() if aut.slots[cur][a] == nxt)
+            letter = next(a for a, w in aut.slots[cur].items() if w == nxt)
             path.append((cur, letter, nxt))
             cur = nxt
         paths[v] = tuple(path)
@@ -472,8 +468,7 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
     if not failures:
         for v in aut.keys:
             inflow = cert.boundary_inflow.get(v, Fraction(0))
-            for a in aut.alphabet.letters():
-                w = aut.slots[v][a]
+            for a, w in aut.slots[v].items():
                 if w is not None:
                     # edge arriving at v is the inverse of v's own slot edge
                     inflow += cert.flow.get((w, letter_inverse(a), v), Fraction(0))

@@ -90,7 +90,7 @@ class FElement:
         return invert(self)
 
 
-def _element(dd: Depths, rd: Depths) -> FElement:
+def from_depths(dd: Depths, rd: Depths) -> FElement:
     """Element from an already reduced pair of depth sequences."""
     g = FElement.__new__(FElement)
     g.dd, g.rd, g.key = dd, rd, _enc(dd) + "|" + _enc(rd)
@@ -138,7 +138,7 @@ def _reduce(dd, rd) -> tuple[Depths, Depths]:
     return tuple(sd), tuple(sr)
 
 
-IDENTITY = _element((0,), (0,))
+IDENTITY = from_depths((0,), (0,))
 
 
 def element_from_key(key: str) -> FElement:
@@ -150,8 +150,13 @@ def element_from_key(key: str) -> FElement:
 
 
 def multiply(a: FElement, b: FElement) -> FElement:
-    """Product a*b, i.e. apply a first, then b: one sweep over the breakpoints
-    of b.range and a.domain (see the module docstring)."""
+    """Product a*b, i.e. apply a first, then b."""
+    return from_depths(*product(a, b))
+
+
+def product(a: FElement, b: FElement) -> tuple[Depths, Depths]:
+    """Reduced depth pair of a*b, without its key: one sweep over the
+    breakpoints of b.range and a.domain (see the module docstring)."""
     xs, ys, bd, ar = b.rd, a.dd, b.dd, a.rd
     t = max(max(xs), max(ys))
     dd, rd = [], []
@@ -172,11 +177,11 @@ def multiply(a: FElement, b: FElement) -> FElement:
         if p == end_y:
             j += 1
             end_y += 1 << (t - ys[j])
-    return _element(*_reduce(dd, rd))
+    return _reduce(dd, rd)
 
 
 def invert(a: FElement) -> FElement:
-    return _element(a.rd, a.dd)
+    return from_depths(a.rd, a.dd)
 
 
 def power(a: FElement, n: int) -> FElement:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import forest_ref
 from fcayley import counting, evac, fgroup, forests
 from fcayley.cayley import (
     Automaton,
@@ -110,13 +111,13 @@ def test_criterion_3_dp_enumeration_equivalence(bb_corpus):
         t0 = time.monotonic()
         symbols = ("x0", "x1", "xb1", "x2")
         for n, k in BB_GRID:
-            members = forests.enumerate_bb(n, k)
+            members = forest_ref.enumerate_bb(n, k)
             assert counting.bb_count(n, k) == len(members), (n, k)
-            assert counting.y0_count(n, k) == len(forests.find_y0(n, k)), (n, k)
+            assert counting.y0_count(n, k) == len(forest_ref.find_y0(n, k)), (n, k)
             dp = counting.nu_counts(n, k, symbols)
             for letter, count in dp.items():
                 rejected = sum(
-                    1 for f in members if forests.act(letter, f, k) is None)
+                    1 for f in members if forest_ref.act(letter, f, k) is None)
                 assert count == rejected, (n, k, letter)
         elapsed = time.monotonic() - t0
         assert elapsed < 60, f"oracle equivalence took {elapsed:.1f}s"
@@ -167,7 +168,7 @@ def test_criterion_6_trimming_pipeline(bb_corpus):
                 continue
             tr = counting.trimmed_density(n, k)
             aut = bb_corpus[("x0,x1,xb1", n, k)]
-            y0 = {f.enc for f in forests.find_y0(n, k)}
+            y0 = {f.enc for f in forest_ref.find_y0(n, k)}
             keep = [v for v in aut.keys if v not in y0]
             if not keep:
                 continue

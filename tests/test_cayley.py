@@ -1,4 +1,7 @@
+import io
 import json
+import random
+from array import array
 
 import pytest
 
@@ -210,3 +213,63 @@ def test_malformed_automaton_objects():
                 {"outer": [1]}, {"alphabet": [1]}, {"values": {"a": ".|.", "b": ".|."}}):
         with pytest.raises(AutomatonFormatError):
             automaton_from_obj({**base, **bad})
+
+
+def test_serre_check_on_targets():
+    al = GenAlphabet(("a",))
+    # slots per vertex: a, a^-1
+    for tgt in ([1, -1, -1, -1],    # p -a-> q without q -a^-1-> p
+                [-1, 1, -1, -1],    # p -a^-1-> q without q -a-> p
+                [1, -1, 1, 0]):     # two a-edges into q, one inverse
+        with pytest.raises(SerreViolation):
+            Automaton.from_targets(al, ["p", "q"], array("i", tgt))
+    aut = Automaton.from_targets(al, ["q", "p"], array("i", [-1, 1, 0, -1]))
+    assert aut.keys == ("p", "q")
+    assert aut.slots == {"p": {"a": "q", "a^-1": None}, "q": {"a": None, "a^-1": "p"}}
+
+
+KEY_CHARS = 'ab"\\\n\t\x01\x1f\x7f/ é☃\U0001d11e'
+
+
+def _random_automaton(rng, n_vertices, n_edges, values, outer):
+    symbols = rng.sample(["a", "b\"c", "é", "x0", "d\\"], rng.randint(1, 3))
+    al = GenAlphabet(symbols, {s: fgroup.X0 for s in symbols} if values else None)
+    keys = set()
+    while len(keys) < n_vertices:
+        keys.add("".join(rng.choice(KEY_CHARS) for _ in range(rng.randint(0, 6))))
+    keys = sorted(keys)
+    slots = {v: {a: None for a in al.letters()} for v in keys}
+    for _ in range(n_edges):
+        u, w, a = rng.choice(keys), rng.choice(keys), rng.choice(symbols)
+        if slots[u][a] is None and slots[w][a + "^-1"] is None:
+            slots[u][a] = w
+            slots[w][a + "^-1"] = u
+    if outer == "present":
+        outer = frozenset(rng.choice(KEY_CHARS) * rng.randint(1, 3) for _ in range(5))
+    return Automaton(al, slots, outer=frozenset() if outer == "empty" else outer)
+
+
+@pytest.mark.parametrize("values", [False, True])
+@pytest.mark.parametrize("outer", [None, "empty", "present"])
+def test_save_matches_json_dump(tmp_path, values, outer):
+    rng = random.Random(f"{values}:{outer}")
+    # sizes include no edges and more rows than one write chunk
+    for n_vertices, n_edges in ((1, 0), (7, 0), (30, 40), (5000, 9000)):
+        aut = _random_automaton(rng, n_vertices, n_edges, values, outer)
+        obj = {
+            "format": "fcayley-automaton",
+            "alphabet": list(aut.alphabet.symbols),
+            "vertices": list(aut.keys),
+            "edges": [list(e) for e in sorted(aut.geometric_edges())],
+            "values": {s: fgroup.X0.key for s in aut.alphabet.symbols} if values else None,
+        }
+        if outer is not None:
+            obj["outer"] = sorted(aut.outer)
+        assert automaton_to_obj(aut) == obj
+        path = tmp_path / "aut.json"
+        save_automaton(aut, path)
+        want = io.StringIO()
+        json.dump(obj, want, indent=1, sort_keys=True)
+        assert path.read_bytes() == (want.getvalue() + "\n").encode()
+        again = load_automaton(path)
+        assert again.slots == aut.slots and again.outer == aut.outer

@@ -314,6 +314,21 @@ def test_bb_count_mode_with_unbinding_height_cap(tmp_path):
     assert all(rec == records[0] for rec in records)
 
 
+def test_bb_count_mode_with_unbinding_cap_is_fast(tmp_path, monkeypatch):
+    import time
+
+    from fcayley import counting
+
+    monkeypatch.setattr(counting, "_tables", {})
+    start = time.perf_counter()
+    assert run(["bb", "--n", "400", "--k", "1000", "--mode", "count",
+                "--out", str(tmp_path / "rec.json"), "--no-timestamp"]) == EXIT_OK
+    # the trees are the Catalan numbers; walking 400 height levels took seconds
+    assert time.perf_counter() - start < 1.0
+    assert read_json(tmp_path / "rec.json")["record"]["size"] == str(counting.catalan(401)
+                                                                     - counting.catalan(400))
+
+
 def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
     for flag, value in (("--report", str(tmp_path / "rep.json")), ("--budget", "5")):
         code = run(["bb", "--n", "3", "--k", "1", "--mode", "count", flag, value,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import forest_ref
 from fcayley import counting, forests
 from fcayley.cayley import boundary_report, make_alphabet
 from fcayley.counting import (
@@ -43,6 +44,34 @@ def test_tree_counts_vs_enumeration():
         f = tree_counts(k, 9)
         for l in range(1, 10):
             assert f[l] == len(enumerate_trees(l, k)), (k, l)
+
+
+def test_unbinding_cap_takes_the_catalan_numbers():
+    # the level loop over every height, as tree_counts ran it for all caps;
+    # f[l] does not depend on the leaf budget, so one loop serves every n
+    top = 60
+    ref = [0, 1]
+    for h in range(1, top):
+        ref = [0, 1] + [sum(ref[i] * ref[l - i] for i in range(max(1, l - len(ref) + 1),
+                                                                min(l, len(ref))))
+                        for l in range(2, min(top, 2 ** h) + 1)]
+    for n in range(0, top + 1):
+        for k in (max(n - 1, 0), n, 2 * n + 3):
+            assert tree_counts(k, n) == ref[:n + 1], (k, n)
+    assert ref[1:] == [catalan(l) for l in range(top)]
+
+
+def test_density_report_squares_each_value_once(monkeypatch):
+    monkeypatch.setattr(counting, "_tables", {})
+    t = counting.table(3, 40)
+    squares = []
+    square = counting._square_coef
+    monkeypatch.setattr(counting, "_square_coef",
+                        lambda P, m: squares.append((P is t.F, m)) or square(P, m))
+    for symbols in (("x0", "x1", "xb1", "x2"), ("x0", "x1")):
+        density_report(40, 3, symbols)
+    # S[40] and S[39] once for both records; [x^39] G^2 (|Y0|) once per record
+    assert sorted(squares) == [(False, 39), (False, 39), (True, 39), (True, 40)]
 
 
 def test_tree_counts_monotone_in_k():
@@ -133,12 +162,12 @@ def test_counts_match_full_array_reference():
 def test_dp_equals_enumeration_full_grid():
     symbols = ("x0", "x1", "xb1", "x2")
     for n, k in itertools.product(range(1, 9), range(0, 4)):
-        members = forests.enumerate_bb(n, k)
+        members = forest_ref.enumerate_bb(n, k)
         assert bb_count(n, k) == len(members)
-        assert y0_count(n, k) == len(forests.find_y0(n, k))
+        assert y0_count(n, k) == len(forest_ref.find_y0(n, k))
         dp = nu_counts(n, k, symbols)
         for letter, count in dp.items():
-            rejected = sum(1 for f in members if forests.act(letter, f, k) is None)
+            rejected = sum(1 for f in members if forest_ref.act(letter, f, k) is None)
             assert count == rejected, (n, k, letter)
 
 
@@ -207,7 +236,7 @@ def test_xi_decreasing_in_k():
 def test_trimmed_density_matches_explicit_removal():
     for n, k in itertools.product(range(1, 9), range(1, 4)):
         aut = forests.bb_automaton(n, k, make_alphabet("x0,x1,xb1"))
-        y0 = {f.enc for f in forests.find_y0(n, k)}
+        y0 = {f.enc for f in forest_ref.find_y0(n, k)}
         tr = trimmed_density(n, k)
         if y0 == set(aut.keys):
             continue  # nothing left after trimming

@@ -2,25 +2,31 @@ import itertools
 
 import pytest
 
-from fcayley import counting
-from fcayley.cayley import boundary_report, make_alphabet
-from fcayley.forests import (
-    BudgetExceeded,
-    MarkedForest,
-    act,
-    bb_automaton,
-    enumerate_bb,
-    find_y0,
-    is_y0_member,
-    parse_forest,
+import forest_ref
+from fcayley import counting, forests
+from fcayley.cayley import (
+    GenAlphabet,
+    SerreViolation,
+    boundary_report,
+    letter_inverse,
+    letter_symbol,
+    make_alphabet,
 )
+from fcayley.forests import BudgetExceeded, bb_automaton
 from fcayley.trees import LEAF, caret
+from forest_ref import MarkedForest, enumerate_bb, find_y0, is_y0_member, parse_forest
 
-ALL_LETTERS = [s + sfx for s in ("x0", "x1", "xb1", "x2") for sfx in ("", "^-1")]
+ALL = make_alphabet("x0,x1,xb1,x2", with_values=False)
 
 
 def forest(s):
     return parse_forest(s)
+
+
+def step(letter, key, k):
+    """Target key of one letter at a forest key, read off the BB automaton."""
+    alphabet = GenAlphabet((letter_symbol(letter),))
+    return bb_automaton(forest(key).leaves, k, alphabet).slots[key][letter]
 
 
 def test_forest_key_roundtrip():
@@ -38,95 +44,84 @@ def test_forest_key_errors():
 
 
 def test_x0_moves_marker():
-    f = forest(".;.*")
-    assert act("x0", f, 0).enc == ".*;."
-    assert act("x0^-1", f, 0) is None
-    assert act("x0", forest(".*;."), 0) is None
+    assert step("x0", ".;.*", 0) == ".*;."
+    assert step("x0^-1", ".;.*", 0) is None
+    assert step("x0", ".*;.", 0) is None
 
 
 def test_x1_splits_marked_caret():
-    f = forest("(.(..))*")
-    out = act("x1", f, 2)
-    assert out.enc == ".*;(..)"
-    out2 = act("xb1", f, 2)
-    assert out2.enc == ".;(..)*"
+    assert step("x1", "(.(..))*", 2) == ".*;(..)"
+    assert step("xb1", "(.(..))*", 2) == ".;(..)*"
 
 
 def test_x1_undefined_on_trivial_marked_tree():
-    assert act("x1", forest(".*;."), 1) is None
-    assert act("xb1", forest(".*;."), 1) is None
+    assert step("x1", ".*;.", 1) is None
+    assert step("xb1", ".*;.", 1) is None
 
 
 def test_merges_respect_height_cap():
-    f = forest(".*;.")
-    assert act("x1^-1", f, 1).enc == "(..)*"
-    assert act("x1^-1", f, 0) is None  # merged tree would have height 1
-    g = forest("(..);.*")
-    assert act("xb1^-1", g, 1) is None  # left neighbour already at the cap
-    assert act("xb1^-1", g, 2).enc == "((..).)*"
+    assert step("x1^-1", ".*;.", 1) == "(..)*"
+    assert step("x1^-1", ".*;.", 0) is None  # merged tree would have height 1
+    assert step("xb1^-1", "(..);.*", 1) is None  # left neighbour already at the cap
+    assert step("xb1^-1", "(..);.*", 2) == "((..).)*"
 
 
 def test_act_inverse_cancels():
-    members = enumerate_bb(5, 2)
-    for f in members:
-        for a in ALL_LETTERS:
-            g = act(a, f, 2)
-            if g is not None:
-                inv = a[:-3] if a.endswith("^-1") else a + "^-1"
-                assert act(inv, g, 2) == f, (f.enc, a)
+    slots = bb_automaton(5, 2, ALL).slots
+    for v, row in slots.items():
+        for a, w in row.items():
+            if w is not None:
+                assert slots[w][letter_inverse(a)] == v, (v, a)
 
 
 def test_act_preserves_leaves_and_cap():
-    for f in enumerate_bb(6, 2):
-        for a in ALL_LETTERS:
-            g = act(a, f, 2)
-            if g is not None:
-                assert g.leaves == f.leaves
-                assert g.max_height() <= 2
+    for row in bb_automaton(6, 2, ALL).slots.values():
+        for w in filter(None, row.values()):
+            assert forest(w).leaves == 6
+            assert forest(w).max_height() <= 2
 
 
 def test_xb1_equals_x1_then_marker_right():
-    for f in enumerate_bb(6, 2):
-        direct = act("xb1", f, 2)
-        composed = act("x1", f, 2)
-        if composed is not None:
-            composed = act("x0^-1", composed, 2)
-        assert direct == composed
+    slots = bb_automaton(6, 2, ALL).slots
+    for row in slots.values():
+        composed = row["x1"] and slots[row["x1"]]["x0^-1"]
+        assert row["xb1"] == composed
 
 
 def test_x2_is_the_conjugated_composition():
     # accepted exactly when the tree right of the marker exists and is nontrivial
-    for f in enumerate_bb(6, 2):
-        out = act("x2", f, 2)
+    for v, row in bb_automaton(6, 2, ALL).slots.items():
+        f = forest(v)
         has_nontrivial_right = (
             f.mark + 1 < len(f.trees) and not f.trees[f.mark + 1].is_leaf()
         )
-        assert (out is not None) == has_nontrivial_right
+        assert (row["x2"] is not None) == has_nontrivial_right
 
 
 def test_enumerate_bb_small_counts():
-    assert len(enumerate_bb(2, 1)) == 3
+    assert len(bb_automaton(2, 1, ALL)) == 3
     for n in range(1, 7):
-        assert len(enumerate_bb(n, 0)) == n
+        assert len(bb_automaton(n, 0, ALL)) == n
 
 
 def test_enumerate_bb_matches_dp():
     for n, k in itertools.product(range(1, 9), range(0, 4)):
+        assert len(bb_automaton(n, k, ALL)) == counting.bb_count(n, k), (n, k)
         assert len(enumerate_bb(n, k)) == counting.bb_count(n, k), (n, k)
 
 
 def test_enumerate_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_bb(8, 3, budget=10)
+        bb_automaton(8, 3, ALL, budget=10)
 
 
 def test_catalan_limit_when_cap_not_binding():
     # forests with n leaves, unbounded height: the nth Catalan number
     for n in range(1, 8):
-        members = enumerate_bb(n, max(1, n - 1))
-        distinct_forests = {tuple(t.enc for t in f.trees) for f in members}
+        keys = bb_automaton(n, n - 1, ALL).keys
+        distinct_forests = {v.replace("*", "") for v in keys}
         assert len(distinct_forests) == counting.catalan(n)
-        assert len(members) == sum(len(f) for f in distinct_forests)
+        assert len(keys) == sum(f.count(";") + 1 for f in distinct_forests)
 
 
 def test_bb21_automaton_slots():
@@ -180,7 +175,7 @@ def test_y0_members_are_isolated():
 
 
 def test_y0_subset_of_bb():
-    members = {f.enc for f in enumerate_bb(6, 2)}
+    members = set(bb_automaton(6, 2, ALL).keys)
     for f in find_y0(6, 2):
         assert f.enc in members
         assert is_y0_member(f, 2)
@@ -197,4 +192,29 @@ def test_marked_forest_validation():
 
 def test_act_rejects_unknown_letter():
     with pytest.raises(ValueError):
-        act("x9", forest(".*"), 1)
+        bb_automaton(1, 1, GenAlphabet(("x9",)))
+
+
+@pytest.mark.parametrize("spec", ["x0,x1,xb1,x2", "x1,xb1,x0,x0"])
+def test_integer_core_matches_reference_action(spec):
+    al = make_alphabet(spec)
+    for n, k in itertools.product(range(1, 9), range(0, 4)):
+        aut = bb_automaton(n, k, al)
+        ref = forest_ref.bb_rows(n, k, al.letters())
+        assert aut.keys == tuple(ref), (n, k)
+        assert dict(aut.slots) == ref, (n, k)
+        assert [f.enc for f in enumerate_bb(n, k)] == list(ref)
+
+
+def test_action_leaving_bb_is_an_error(monkeypatch):
+    # a merge that doubles the forest cannot land on a vertex of BB(n, k)
+    monkeypatch.setitem(forests.PRIMITIVES, ("x1", -1), (lambda tt, s, i, arg: (s + s, i), 0))
+    with pytest.raises(AssertionError, match="left BB"):
+        bb_automaton(4, 2, make_alphabet("x0,x1"))
+
+
+def test_wrong_target_breaks_the_serre_pairing(monkeypatch):
+    # x0 sending every marker to the first tree is not inverted by x0^-1
+    monkeypatch.setitem(forests.PRIMITIVES, ("x0", 1), (lambda tt, s, i, arg: (s, 0), 0))
+    with pytest.raises(SerreViolation):
+        bb_automaton(4, 2, make_alphabet("x0,x1"))

@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fcayley.cayley import letter_inverse  # noqa: E402
+from fcayley.cayley import letter_inverse, make_alphabet  # noqa: E402
 from fcayley.fgroup import (  # noqa: E402
     IDENTITY,
     X0,
@@ -18,7 +18,8 @@ from fcayley.fgroup import (  # noqa: E402
     invert,
     multiply,
 )
-from fcayley.forests import act, enumerate_bb  # noqa: E402
+from fcayley.forests import bb_automaton  # noqa: E402
+from forest_ref import parse_forest  # noqa: E402
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -61,21 +62,20 @@ def test_inverse_of_product(u, v):
 
 
 @lru_cache(maxsize=None)
-def members(n, k):
-    return enumerate_bb(n, k)
+def slots(n, k):
+    return bb_automaton(n, k, make_alphabet("x0,x1,xb1,x2", with_values=False)).slots
 
 
 @BOUNDED
 @given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 10**6),
        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=12))
 def test_forest_action_is_reversible(n, k, pick, word):
-    start = members(n, k)[pick % len(members(n, k))]
-    path = [start]
+    rows = slots(n, k)
+    path = [sorted(rows)[pick % len(rows)]]
     for a in word:
-        g = act(a, path[-1], k)
+        g = rows[path[-1]][a]
         if g is None:
             continue
-        assert g.leaves == n and g.max_height() <= k
-        back = act(letter_inverse(a), g, k)
-        assert back is not None and back.enc == path[-1].enc
+        assert parse_forest(g).leaves == n and parse_forest(g).max_height() <= k
+        assert rows[g][letter_inverse(a)] == path[-1]
         path.append(g)
