@@ -1,8 +1,8 @@
 """Exact Cayley-graph boundary analysis and evacuation schemes for Thompson's group F.
 
 Modules:
-  trees     rooted binary trees and their canonical encoding
-  fgroup    reduced tree-pair arithmetic, presentations, automorphism checks
+  fgroup    reduced tree pairs as leaf-depth sequences, key parser and encoder,
+            presentations, automorphism checks
   cayley    finite Cayley subgraphs (automata), boundary/density reports, files
   forests   Brown-Belk sets BB(n, k) and the partial generator actions on them
   counting  big-integer DP for |BB|, per-letter boundary counts, xi and trimming

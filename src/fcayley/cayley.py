@@ -383,7 +383,7 @@ def _cayley_automaton(elements: list[FElement], alphabet: GenAlphabet,
                 pair = fgroup.product(g, v)
                 if pair not in number:
                     number[pair] = len(elements)
-                    elements.append(fgroup.from_depths(*pair))
+                    elements.append(FElement(*pair))
                 rows.append(number[pair])
     tgt = array("i", [w if w < size else -1 for w in rows])
     outer = frozenset(g.key for g in elements[size:])
@@ -424,11 +424,11 @@ def is_edge_entry(entry) -> bool:
 
 def automaton_from_obj(obj: dict) -> Automaton:
     try:
-        symbols = list(obj["alphabet"])
-        vertices = list(obj["vertices"])
-        edges = list(obj["edges"])
-    except (KeyError, TypeError) as exc:
+        symbols, vertices, edges = obj["alphabet"], obj["vertices"], obj["edges"]
+    except KeyError as exc:
         raise AutomatonFormatError(f"missing automaton field: {exc}") from None
+    if not all(isinstance(x, list) for x in (symbols, vertices, edges)):
+        raise AutomatonFormatError("alphabet, vertices and edges must be lists")
     if not all(isinstance(s, str) for s in symbols):
         raise AutomatonFormatError("alphabet symbols must be strings")
     if not all(isinstance(v, str) for v in vertices):

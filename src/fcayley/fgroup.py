@@ -11,8 +11,7 @@ pairs below.
 A tree is stored as its leaf depths, left to right: leaf i is the dyadic
 interval of length 2^-d_i that starts where leaf i-1 ends, so at a scale 2^T
 (T >= every depth) its breakpoints are integers.  An element holds the
-reduced sequences `dd` (domain) and `rd` (range); Tree objects are built
-only on demand (`.domain`, `.range`).
+reduced sequences `dd` (domain) and `rd` (range) and its key.
 
 Product.  Dyadic intervals are nested or disjoint, so the union of the
 breakpoints of b.range and a.domain cuts [0, 1] into the leaves of their
@@ -29,10 +28,12 @@ are such a pair in both trees; a collapse can only pair with a neighbour,
 and the right one is checked when it is pushed.  Reduced pairs are unique,
 so the collapse order does not matter.
 
-Keys are "domain|range" in the encoding of `trees`.  `_enc` writes leaf i
-after one "(" per caret it is the leftmost leaf of and before one ")" per
-caret it is the rightmost leaf of: the trailing ones of its index among the
-intervals of its depth.
+Keys are "domain|range", a tree written "." for a leaf and "(" + left +
+right + ")" for a caret.  `_enc` writes leaf i after one "(" per caret it is
+the leftmost leaf of and before one ")" per caret it is the rightmost leaf
+of: the trailing ones of its index among the intervals of its depth.
+`_parse` inverts it in one pass: a leaf's depth is the number of carets
+open around it.
 
 Base generators (pinned by the relation tests in the suite):
 
@@ -44,8 +45,6 @@ and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2, xbar1 = x1 * x0^-1.
 
 from __future__ import annotations
 
-from .trees import Tree, parse_tree
-
 # A group word is a sequence of (symbol, sign) letters, sign in {+1, -1}.
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -53,23 +52,13 @@ Depths = tuple[int, ...]
 
 
 class FElement:
-    """Reduced tree-pair representative of an element of Thompson's group F."""
+    """Reduced tree-pair representative of an element of Thompson's group F,
+    built from an already reduced pair of depth sequences."""
 
     __slots__ = ("dd", "rd", "key")
 
-    def __init__(self, domain: Tree, range_: Tree):
-        if domain.leaves != range_.leaves:
-            raise ValueError("domain and range trees must have equal leaf counts")
-        self.dd, self.rd = _reduce(_depths(domain), _depths(range_))
-        self.key = _enc(self.dd) + "|" + _enc(self.rd)
-
-    @property
-    def domain(self) -> Tree:
-        return parse_tree(_enc(self.dd))
-
-    @property
-    def range(self) -> Tree:
-        return parse_tree(_enc(self.rd))
+    def __init__(self, dd: Depths, rd: Depths):
+        self.dd, self.rd, self.key = dd, rd, _enc(dd) + "|" + _enc(rd)
 
     def is_identity(self) -> bool:
         return len(self.dd) == 1
@@ -90,18 +79,6 @@ class FElement:
         return invert(self)
 
 
-def from_depths(dd: Depths, rd: Depths) -> FElement:
-    """Element from an already reduced pair of depth sequences."""
-    g = FElement.__new__(FElement)
-    g.dd, g.rd, g.key = dd, rd, _enc(dd) + "|" + _enc(rd)
-    return g
-
-
-def _depths(t: Tree, d: int = 0) -> list[int]:
-    """Leaf depths of t, left to right."""
-    return [d] if t.is_leaf() else _depths(t.left, d + 1) + _depths(t.right, d + 1)
-
-
 def _enc(depths: Depths) -> str:
     """Balanced-parentheses encoding of the tree with these leaf depths."""
     t = max(depths)
@@ -114,6 +91,26 @@ def _enc(depths: Depths) -> str:
         out += "(" * (d - cur) + "." + ")" * closes
         cur = d - closes
     return out
+
+
+def _parse(enc: str) -> Depths:
+    """Leaf depths of the tree with this encoding; the inverse of `_enc`."""
+    depths = []
+    due = [1]  # subtrees still due: the root, then two per open caret
+    for c in enc:
+        if c == ")" and len(due) > 1 and not due[-1]:
+            due.pop()
+        elif c in "(.":
+            due[-1] -= 1
+            if c == "(":
+                due.append(2)
+            else:
+                depths.append(len(due) - 1)
+        else:
+            raise ValueError(f"bad tree encoding: {enc!r}")
+    if due != [0]:
+        raise ValueError(f"bad tree encoding: {enc!r}")
+    return tuple(depths)
 
 
 def _reduce(dd, rd) -> tuple[Depths, Depths]:
@@ -138,20 +135,23 @@ def _reduce(dd, rd) -> tuple[Depths, Depths]:
     return tuple(sd), tuple(sr)
 
 
-IDENTITY = from_depths((0,), (0,))
+IDENTITY = FElement((0,), (0,))
 
 
 def element_from_key(key: str) -> FElement:
-    """Decode a "domain|range" pair key back into a (reduced) element."""
+    """Decode a "domain|range" pair key into its reduced element."""
     parts = key.split("|")
     if len(parts) != 2:
         raise ValueError(f"bad element key: {key!r}")
-    return FElement(parse_tree(parts[0]), parse_tree(parts[1]))
+    dd, rd = _parse(parts[0]), _parse(parts[1])
+    if len(dd) != len(rd):
+        raise ValueError(f"domain and range of {key!r} have different leaf counts")
+    return FElement(*_reduce(dd, rd))
 
 
 def multiply(a: FElement, b: FElement) -> FElement:
     """Product a*b, i.e. apply a first, then b."""
-    return from_depths(*product(a, b))
+    return FElement(*product(a, b))
 
 
 def product(a: FElement, b: FElement) -> tuple[Depths, Depths]:
@@ -181,7 +181,7 @@ def product(a: FElement, b: FElement) -> tuple[Depths, Depths]:
 
 
 def invert(a: FElement) -> FElement:
-    return from_depths(a.rd, a.dd)
+    return FElement(a.rd, a.dd)
 
 
 def power(a: FElement, n: int) -> FElement:
@@ -193,8 +193,8 @@ def power(a: FElement, n: int) -> FElement:
     return out
 
 
-X0 = FElement(parse_tree("(.(..))"), parse_tree("((..).)"))
-X1 = FElement(parse_tree("(.(.(..)))"), parse_tree("(.((..).))"))
+X0 = element_from_key("(.(..))|((..).)")
+X1 = element_from_key("(.(.(..)))|(.((..).))")
 
 
 def generator_x(n: int) -> FElement:

@@ -12,11 +12,12 @@ height at most k.  Generators act partially on the right:
 
 Undefined moves return None; they are values, not errors.
 
-Vertex core.  A `TreeTable` numbers the trees of height <= k with at most n
-leaves; a forest shape is a tuple of tree numbers, and vertex (s, i), shape s
-marked at tree i, is numbered base[s] + i.  x0 is then i -+ 1, and a split
-or a merge is one table lookup.  Keys ("(..)*;." with "*" after the marked
-tree) are rendered once per vertex, and the automaton sorts them.
+Vertex core.  A `TreeTable` builds and numbers the trees of height <= k
+with at most n leaves by leaf count, each caret a join of two smaller trees
+of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
+shape s marked at tree i, is numbered base[s] + i.  x0 is then i -+ 1, and
+a split or a merge is one table lookup.  Keys ("(..)*;." with "*" after
+the marked tree) are rendered once per vertex, and the automaton sorts them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from array import array
 
 from .cayley import Automaton, GenAlphabet, INV, base_symbol, letter_symbol
-from .trees import enumerate_trees
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,31 +32,40 @@ class BudgetExceeded(RuntimeError):
 
 
 class TreeTable:
-    """The trees of height <= k with at most n leaves, numbered.
+    """The trees of height <= k with at most n leaves, numbered by leaf count.
 
-    enc[t] and size[t] are the key and leaf count of tree t; split[t] is the
-    pair (left, right) of a caret, or None for the leaf; join inverts split,
-    so it holds exactly the pairs of trees of height < k whose caret fits.
+    enc[t] and size[t] are the key ("." for a leaf, "(" + left + right + ")"
+    for a caret) and leaf count of tree t; split[t] is the pair (left, right)
+    of a caret, or None for the leaf; join inverts split, so it holds exactly
+    the pairs of trees of height < k whose caret fits.
     """
 
     def __init__(self, k: int, n: int):
-        trees = [t for size in range(1, n + 1) for t in enumerate_trees(size, k)]
-        number = {t.enc: i for i, t in enumerate(trees)}
-        self.enc = [t.enc for t in trees]
-        self.size = [t.leaves for t in trees]
-        self.split = [None if t.is_leaf() else (number[t.left.enc], number[t.right.enc])
-                      for t in trees]
-        self.join = {pair: t for t, pair in enumerate(self.split) if pair}
+        self.enc, self.size, self.split, self.join = ["."], [1], [None], {}
+        height = [0]
+        self.by_size: list[list[int]] = [[], [0]]
+        low = [[], [0] if k > 0 else []]  # trees of height < k, by leaf count
+        for size in range(2, n + 1):
+            new = []
+            for nl in range(1, size):
+                for left in low[nl]:
+                    for right in low[size - nl]:
+                        t = len(self.enc)
+                        self.enc.append("(" + self.enc[left] + self.enc[right] + ")")
+                        self.size.append(size)
+                        self.split.append((left, right))
+                        self.join[left, right] = t
+                        height.append(max(height[left], height[right]) + 1)
+                        new.append(t)
+            self.by_size.append(new)
+            low.append([t for t in new if height[t] < k])
 
     def shapes(self, n: int) -> list[tuple[int, ...]]:
         """Every tuple of tree numbers with n leaves in all."""
-        by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for t, size in enumerate(self.size):
-            by_size[size].append(t)
         out: list[list[tuple[int, ...]]] = [[()]]
         for total in range(1, n + 1):
             out.append([(t,) + rest for size in range(1, total + 1)
-                        for t in by_size[size] for rest in out[total - size]])
+                        for t in self.by_size[size] for rest in out[total - size]])
         return out[n]
 
 

@@ -9,7 +9,7 @@ integer core can be checked against code that shares none of its tables.
 from __future__ import annotations
 
 from fcayley.cayley import INV, base_symbol, letter_symbol
-from fcayley.trees import caret, enumerate_trees, parse_tree
+from tree_pairs import caret, enumerate_trees, parse_tree
 
 
 class MarkedForest:

@@ -210,7 +210,9 @@ def test_malformed_automaton_objects():
     base = {"alphabet": ["a"], "vertices": ["u"], "edges": []}
     for bad in ({"edges": [5]}, {"values": ["x"]}, {"values": {"a": 5}},
                 {"values": {"a": "bogus"}}, {"vertices": [["u"]]}, {"outer": 5},
-                {"outer": [1]}, {"alphabet": [1]}, {"values": {"a": ".|.", "b": ".|."}}):
+                {"outer": [1]}, {"alphabet": [1]}, {"values": {"a": ".|.", "b": ".|."}},
+                {"alphabet": "a", "vertices": "uv"}, {"vertices": {"u": 1}},
+                {"alphabet": {"a": 1}}, {"edges": "uau"}):
         with pytest.raises(AutomatonFormatError):
             automaton_from_obj({**base, **bad})
 

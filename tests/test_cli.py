@@ -270,11 +270,26 @@ def test_malformed_automaton_files_exit_2(tmp_path, capsys):
                       ("values.json", {**base, "values": ["x"]}),
                       ("outer.json", {**base, "outer": 5}),
                       ("symbol.json", {**base, "alphabet": [1]}),
-                      ("unknown.json", {**base, "values": {"a": ".|.", "b": ".|."}})):
+                      ("unknown.json", {**base, "values": {"a": ".|.", "b": ".|."}}),
+                      ("alphabet_str.json", {**base, "alphabet": "a", "vertices": "uv"}),
+                      ("vertices_obj.json", {**base, "vertices": {"u": 1}}),
+                      ("edges_str.json", {**base, "edges": "uau"})):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_deep_value_keys_load(tmp_path, capsys):
+    # 1,200 nested carets: deeper than the interpreter's recursion limit
+    deep = "(." * 1200 + "." + ")" * 1200
+    obj = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"]],
+           "values": {"a": deep + "|" + deep}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(obj))
+    assert load_automaton(path).alphabet.values["a"].is_identity()
+    assert run(["evac", "--automaton", str(path), "--out", str(tmp_path / "e.json")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_certificate_files_exit_2(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_tree_counts_support_bound():
 
 
 def test_tree_counts_vs_enumeration():
-    from fcayley.trees import enumerate_trees
+    from tree_pairs import enumerate_trees
 
     for k in range(0, 4):
         f = tree_counts(k, 9)

@@ -8,7 +8,6 @@ from fcayley.fgroup import (
     IDENTITY,
     X0,
     X1,
-    FElement,
     apply_auto,
     check_automorphism,
     element_from_key,
@@ -24,7 +23,7 @@ from fcayley.fgroup import (
     word_commutator,
     word_inverse,
 )
-from fcayley.trees import LEAF, caret, parse_tree
+from tree_pairs import LEAF, caret, parse_tree
 
 
 def random_element(rng, length):
@@ -80,8 +79,12 @@ def test_reduction_is_canonical():
 
 def test_unreduced_input_is_normalized():
     # the pair (caret, caret) is an unreduced identity
-    t = parse_tree("(..)")
-    assert FElement(t, t).is_identity()
+    assert element_from_key("(..)|(..)").is_identity()
+
+
+def test_key_halves_need_equal_leaf_counts():
+    with pytest.raises(ValueError):
+        element_from_key("(..)|.")
 
 
 def test_conjugation_formula_for_xn():
@@ -161,6 +164,11 @@ GENERATORS = [X0, X1, generator_xbar1(), generator_x(2)]
 GENERATORS += [invert(g) for g in GENERATORS]
 
 
+def tree_pair(g):
+    """The reference (domain, range) trees of an element, parsed from its key."""
+    return tuple(parse_tree(half) for half in g.key.split("|"))
+
+
 def random_tree(rng, leaves):
     if leaves == 1:
         return LEAF
@@ -172,11 +180,11 @@ def test_multiply_matches_tree_reference_on_words():
     rng = random.Random(11)
     for _ in range(300):
         g = IDENTITY
-        ref = (g.domain, g.range)
+        ref = tree_pair(g)
         for _ in range(rng.randint(0, 60)):
             h = rng.choice(GENERATORS)
             g = multiply(g, h)
-            ref = tree_pairs.multiply(ref, (h.domain, h.range))
+            ref = tree_pairs.multiply(ref, tree_pair(h))
             assert g.key == tree_pairs.key(ref)
 
 
@@ -190,10 +198,10 @@ def test_multiply_matches_tree_reference_on_unreduced_pairs():
             i = rng.randrange(leaves)
             subs = lambda: [sub if j == i else LEAF for j in range(leaves)]
             d, r = tree_pairs.graft(d, subs()), tree_pairs.graft(r, subs())
-        a = FElement(d, r)
+        a = element_from_key(tree_pairs.key((d, r)))
         assert a.key == tree_pairs.key(tree_pairs.reduce_pair(d, r))
-        assert (a.domain.enc, a.range.enc) == tuple(a.key.split("|"))
+        assert tree_pairs.key(tree_pair(a)) == a.key
         h = rng.choice(GENERATORS)
         for x, y in ((a, h), (h, a), (a, a)):
-            ref = tree_pairs.multiply((x.domain, x.range), (y.domain, y.range))
+            ref = tree_pairs.multiply(tree_pair(x), tree_pair(y))
             assert multiply(x, y).key == tree_pairs.key(ref)

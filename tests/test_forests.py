@@ -13,8 +13,8 @@ from fcayley.cayley import (
     make_alphabet,
 )
 from fcayley.forests import BudgetExceeded, bb_automaton
-from fcayley.trees import LEAF, caret
 from forest_ref import MarkedForest, enumerate_bb, find_y0, is_y0_member, parse_forest
+from tree_pairs import LEAF, caret, enumerate_trees
 
 ALL = make_alphabet("x0,x1,xb1,x2", with_values=False)
 
@@ -218,3 +218,22 @@ def test_wrong_target_breaks_the_serre_pairing(monkeypatch):
     monkeypatch.setitem(forests.PRIMITIVES, ("x0", 1), (lambda tt, s, i, arg: (s, 0), 0))
     with pytest.raises(SerreViolation):
         bb_automaton(4, 2, make_alphabet("x0,x1"))
+
+
+def test_tree_table_matches_reference_trees():
+    for k, n in itertools.product(range(0, 6), range(1, 11)):
+        tt = forests.TreeTable(k, n)
+        height = {}
+        for size in range(1, n + 1):
+            ref = enumerate_trees(size, k)
+            assert [tt.enc[t] for t in tt.by_size[size]] == [r.enc for r in ref], (k, n)
+            assert all(tt.size[t] == size for t in tt.by_size[size])
+            height.update((r.enc, r.height) for r in ref)
+        low = [t for t, e in enumerate(tt.enc) if height[e] < k]
+        for t, pair in enumerate(tt.split):
+            if pair is not None:
+                assert tt.enc[t] == "(" + tt.enc[pair[0]] + tt.enc[pair[1]] + ")"
+                assert tt.join[pair] == t
+        assert all(tt.split[t] == pair for pair, t in tt.join.items())
+        assert set(tt.join) == {(a, b) for a in low for b in low
+                                if tt.size[a] + tt.size[b] <= n}, (k, n)

@@ -1,7 +1,17 @@
 import pytest
 
-from fcayley.trees import LEAF, caret, enumerate_trees, parse_tree
-from tree_pairs import align, collapse_sibling, graft, merge, sibling_leaf_pairs
+from fcayley.fgroup import _enc, _parse, element_from_key
+from tree_pairs import (
+    LEAF,
+    align,
+    caret,
+    collapse_sibling,
+    enumerate_trees,
+    graft,
+    merge,
+    parse_tree,
+    sibling_leaf_pairs,
+)
 
 
 def test_leaf_basics():
@@ -22,10 +32,40 @@ def test_parse_roundtrip(enc):
     assert parse_tree(enc).enc == enc
 
 
-@pytest.mark.parametrize("bad", ["", "(", "(.)", "(...)", "(..))", "..", "x"])
+GARBAGE = ["", "(", "(.)", "(...)", "(..))", "..", "x"]
+
+
+@pytest.mark.parametrize("bad", GARBAGE)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_tree(bad)
+
+
+@pytest.mark.parametrize("half", ["domain", "range"])
+@pytest.mark.parametrize("bad", GARBAGE + [".)."])
+def test_key_parser_rejects_garbage(bad, half):
+    key = bad + "|." if half == "domain" else ".|" + bad
+    with pytest.raises(ValueError):
+        element_from_key(key)
+
+
+def _reference_depths(t, d=0):
+    if t.is_leaf():
+        return [d]
+    return _reference_depths(t.left, d + 1) + _reference_depths(t.right, d + 1)
+
+
+def test_key_parser_inverts_the_encoder():
+    for n in range(1, 9):
+        for t in enumerate_trees(n, n):
+            assert _parse(t.enc) == tuple(_reference_depths(t))
+            assert _enc(_parse(t.enc)) == t.enc
+
+
+def test_deep_keys_parse_without_recursion():
+    deep = "(." * 1200 + "." + ")" * 1200
+    assert _parse(deep) == tuple(range(1, 1201)) + (1200,)
+    assert element_from_key(deep + "|" + deep).is_identity()
 
 
 def test_sibling_pairs():

@@ -1,15 +1,103 @@
-"""Reference tree-pair arithmetic on `Tree` objects, kept for the tests only.
+"""Reference trees and tree-pair arithmetic on `Tree` objects, for the tests only.
 
-This is the textbook construction (Cannon, Floyd & Parry 1996) that
-`fcayley.fgroup` replaced with a sweep over leaf depths: the product of
-(D_a, R_a) and (D_b, R_b) is read off the least common extension of R_b and
-D_a, and a pair is reduced by collapsing one common sibling caret at a time.
-`fcayley.fgroup.multiply` must give the same reduced keys.
+`Tree`, `parse_tree` and `enumerate_trees` are the object form of the
+binary trees that `fcayley` keeps as leaf-depth sequences (`fgroup`) and
+as table numbers (`forests.TreeTable`).  The rest is the textbook
+construction (Cannon, Floyd & Parry 1996) that `fcayley.fgroup` replaced
+with a sweep over leaf depths: the product of (D_a, R_a) and (D_b, R_b) is
+read off the least common extension of R_b and D_a, and a pair is reduced
+by collapsing one common sibling caret at a time.  `fcayley.fgroup.multiply`
+must give the same reduced keys.
 """
 
 from __future__ import annotations
 
-from fcayley.trees import LEAF, Tree, caret
+from functools import lru_cache
+
+
+class Tree:
+    """Immutable rooted binary tree. Construct leaves via LEAF, carets via caret()."""
+
+    __slots__ = ("left", "right", "leaves", "height", "enc")
+
+    def __init__(self, left: "Tree | None" = None, right: "Tree | None" = None):
+        if (left is None) != (right is None):
+            raise ValueError("a caret needs both subtrees")
+        self.left = left
+        self.right = right
+        if left is None:
+            self.leaves = 1
+            self.height = 0
+            self.enc = "."
+        else:
+            self.leaves = left.leaves + right.leaves
+            self.height = max(left.height, right.height) + 1
+            self.enc = "(" + left.enc + right.enc + ")"
+
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    def __eq__(self, other):
+        return isinstance(other, Tree) and self.enc == other.enc
+
+    def __hash__(self):
+        return hash(self.enc)
+
+    def __repr__(self):
+        return f"Tree({self.enc!r})"
+
+
+LEAF = Tree()
+
+
+def caret(left: Tree, right: Tree) -> Tree:
+    return Tree(left, right)
+
+
+def parse_tree(s: str) -> Tree:
+    """Parse the balanced-parentheses encoding. Inverse of Tree.enc."""
+    pos = 0
+
+    def go() -> Tree:
+        nonlocal pos
+        if pos >= len(s):
+            raise ValueError(f"truncated tree encoding: {s!r}")
+        c = s[pos]
+        if c == ".":
+            pos += 1
+            return LEAF
+        if c == "(":
+            pos += 1
+            left = go()
+            right = go()
+            if pos >= len(s) or s[pos] != ")":
+                raise ValueError(f"unbalanced tree encoding: {s!r}")
+            pos += 1
+            return caret(left, right)
+        raise ValueError(f"bad character {c!r} in tree encoding: {s!r}")
+
+    t = go()
+    if pos != len(s):
+        raise ValueError(f"trailing junk in tree encoding: {s!r}")
+    return t
+
+
+@lru_cache(maxsize=None)
+def enumerate_trees(leaves: int, max_height: int) -> tuple[Tree, ...]:
+    """All trees with the given leaf count and height <= max_height."""
+    if leaves < 1:
+        raise ValueError("a tree has at least one leaf")
+    if leaves == 1:
+        return (LEAF,)
+    if max_height < 1 or leaves > 2 ** max_height:
+        return ()
+    out = []
+    for nl in range(1, leaves):
+        for lt in enumerate_trees(nl, max_height - 1):
+            for rt in enumerate_trees(leaves - nl, max_height - 1):
+                out.append(caret(lt, rt))
+    return tuple(out)
+
 
 Pair = tuple[Tree, Tree]
 
