@@ -8,29 +8,10 @@ Modules:
   counting  big-integer DP for |BB|, per-letter boundary counts, xi and trimming
   evac      evacuation-scheme solver, Hall oracle, flow certificates, relabelling
   cli       batch command-line front end
-"""
 
-from .fgroup import FElement, IDENTITY, X0, X1, generator_x, generator_xbar1
-from .cayley import (
-    Automaton,
-    BoundaryReport,
-    GenAlphabet,
-    ball,
-    boundary_report,
-    induced_subgraph,
-    load_automaton,
-    make_alphabet,
-    save_automaton,
-)
-from .forests import bb_automaton
-from .counting import bb_count, density_report, nu_counts, trimmed_density, xi_estimate, y0_count
-from .evac import (
-    EvacScheme,
-    conjugate_relabel,
-    hall_oracle,
-    solve_pure,
-    solve_with_constant,
-    verify_flow_certificate,
-)
+Importing the package loads none of them: import a submodule by name
+(`from fcayley import counting`), and each `fcayley` subcommand imports
+only the modules it runs.
+"""
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
@@ -32,6 +32,10 @@ from . import fgroup
 from .fgroup import FElement, element_from_key
 
 INV = "^-1"
+
+# Default vertex budget of `forests.bb_automaton`, kept here so that the
+# command-line parser can show it without importing forests.
+DEFAULT_BUDGET = 10_000_000
 
 
 def letter_inverse(letter: str) -> str:
@@ -263,17 +267,13 @@ class Automaton:
         return Automaton(self.alphabet, slots, outer=None)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Exact boundary and density data of one automaton."""
+class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_boundary "
+                                                  "cheeger density iota")):
+    """Exact boundary and density data of one automaton: vertex count, nu
+    (letter -> boundary slots), inner boundary, outer boundary (None without
+    ambient data), cheeger (all boundary slots), density and iota (Fractions)."""
 
-    size: int
-    nu: dict[str, int]
-    inner_boundary: int
-    outer_boundary: int | None
-    cheeger: int
-    density: Fraction
-    iota: Fraction
+    __slots__ = ()
 
     def as_obj(self) -> dict:
         obj = {

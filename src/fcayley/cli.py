@@ -8,21 +8,20 @@ witness), 2 for validation or usage errors, 3 for a rejected certificate.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import json
 import os
 import sys
 
-from . import counting, evac, forests
+# counting, evac, forests, csv and datetime are imported where they are used:
+# a job loads only what its subcommand runs
 from .cayley import (
-    AutomatonFormatError,
-    SerreViolation,
+    DEFAULT_BUDGET,
     ball,
     boundary_report,
     decimal_str,
     load_automaton,
     make_alphabet,
+    report_csv_rows,
     save_automaton,
 )
 
@@ -38,6 +37,8 @@ NU_COLUMNS = [
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
     if not no_timestamp:
+        import datetime
+
         obj = dict(obj)
         obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
@@ -52,7 +53,7 @@ def _emit_report(rep, obj: dict, args) -> None:
     if args.format == "csv":
         if not args.report:
             raise ValueError("--format csv needs --report")
-        from .cayley import report_csv_rows
+        import csv
 
         with open(args.report, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -81,11 +82,15 @@ def cmd_bb(args) -> int:
                             ("--budget", args.budget is not None)):
             if given:
                 raise ValueError(f"{flag} needs --mode enumerate")
+        from . import counting
+
         rec = counting.density_report(args.n, args.k, alphabet.symbols)
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
         return EXIT_OK
-    budget = forests.DEFAULT_BUDGET if args.budget is None else args.budget
+    from . import forests
+
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     aut = forests.bb_automaton(args.n, args.k, alphabet, budget=budget)
     if args.out:
         save_automaton(aut, args.out)
@@ -128,12 +133,16 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
 
 
 def _sweep_k(job):
+    from . import counting
+
     k, n_values, specs = job
     symbols = [make_alphabet(spec, with_values=False).symbols for spec in specs]
     return [counting.density_report(n, k, syms) for n in n_values for syms in symbols]
 
 
 def _sweep_csv(records, path) -> None:
+    import csv
+
     fields = (["n", "k", "alphabet", "size"]
               + [f"nu_{a}" for a in NU_COLUMNS]
               + ["delta", "delta_decimal", "iota", "iota_decimal",
@@ -171,6 +180,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evac(args) -> int:
+    from . import evac
+
     aut = load_automaton(args.automaton)
     result = evac.solve_with_constant(aut, args.K)
     obj: dict = {"command": "evac", "automaton": args.automaton, "K": args.K,
@@ -184,6 +195,8 @@ def cmd_evac(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import evac
+
     aut = load_automaton(args.automaton)
     with open(args.cert) as fh:
         cert_obj = json.load(fh)
@@ -199,7 +212,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import fgroup
+    from . import counting, evac, fgroup, forests
 
     checks: list[tuple[str, bool]] = []
     rel_ok = all(
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the boundary report to this path")
     p.add_argument("--budget", type=int,
                    help="enumeration budget (number of forests, default "
-                        f"{forests.DEFAULT_BUDGET:,})")
+                        f"{DEFAULT_BUDGET:,})")
     output(p, "write the automaton (enumerate) or the record (count) to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bb)
@@ -295,9 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AutomatonFormatError, SerreViolation, forests.BudgetExceeded,
-            evac.NoEvacuationTarget, evac.SchemeValidationError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -29,7 +29,7 @@ O(n).  Ratios are exact Fractions; decimals appear only in rendered output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul, sub
 
@@ -165,19 +165,10 @@ def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     return out
 
 
-@dataclass(frozen=True)
-class DensityRecord:
-    """Exact density data of BB(n, k) over one alphabet."""
+class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density iota p xi")):
+    """Exact density data of BB(n, k) over one alphabet (xi is None at n = 1)."""
 
-    n: int
-    k: int
-    alphabet: str
-    size: int
-    nu: dict[str, int]
-    density: Fraction
-    iota: Fraction
-    p: Fraction
-    xi: Fraction | None
+    __slots__ = ()
 
     def as_obj(self) -> dict:
         return {
@@ -232,16 +223,10 @@ def xi_diagnostics(k: int, n: int) -> dict:
     return {"k": k, "n": n, "xi": last, "xi_prev": prev, "gap": abs(last - prev)}
 
 
-@dataclass(frozen=True)
-class TrimmedReport:
-    """Density of BB(n, k) over {x0, x1, xb1} after removing the isolated set."""
-
-    n: int
-    k: int
-    density: Fraction
-    p: Fraction
-    trimmed_density: Fraction
-    iota_star_bound: Fraction  # 2m - trimmed density, m = 3
+# Density of BB(n, k) over {x0, x1, xb1} after removing the isolated set;
+# iota_star_bound is 2m - trimmed_density, m = 3.
+TrimmedReport = namedtuple("TrimmedReport",
+                           "n k density p trimmed_density iota_star_bound")
 
 
 def trimmed_density(n: int, k: int) -> TrimmedReport:

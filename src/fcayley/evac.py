@@ -20,8 +20,7 @@ independently of the flow route.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from .cayley import (
@@ -46,12 +45,11 @@ class SchemeValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvacScheme:
-    """Per-vertex evacuation paths with edge usage bounded by K."""
+class EvacScheme(namedtuple("EvacScheme", "K paths")):
+    """Per-vertex evacuation paths (vertex -> tuple of edges) with edge usage
+    bounded by K."""
 
-    K: int
-    paths: dict[str, tuple[Edge, ...]]
+    __slots__ = ()
 
     def edge_usage(self) -> dict[Edge, int]:
         usage: dict[Edge, int] = {}
@@ -82,22 +80,17 @@ def scheme_from_obj(obj: dict) -> EvacScheme:
     return EvacScheme(K=K, paths=paths)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Internal vertex set violating the Hall condition."""
+class Witness(namedtuple("Witness", "Z cheeger")):
+    """Internal vertex set Z violating the Hall condition, and the number of
+    directed edges leaving it."""
 
-    Z: tuple[str, ...]
-    cheeger: int  # directed edges leaving Z
+    __slots__ = ()
 
     def as_obj(self) -> dict:
         return {"Z": list(self.Z), "cheeger": self.cheeger}
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    exists: bool
-    scheme: EvacScheme | None
-    witness: Witness | None
+SolveResult = namedtuple("SolveResult", "exists scheme witness")  # scheme or witness is None
 
 
 def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
@@ -294,12 +287,10 @@ def hall_oracle(aut: Automaton, K: int = 1, guard: int = 20) -> Witness | None:
 # Psi relations (reversed-arrow multi-valued partial functions)
 
 
-@dataclass(frozen=True)
-class PsiRelation:
+class PsiRelation(namedtuple("PsiRelation", "pairs index")):
     """Ordered pairs <head, tail> of used edges; index = #preimages - #images."""
 
-    pairs: tuple[tuple[str, str], ...]
-    index: dict[str, int]
+    __slots__ = ()
 
     def as_obj(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs],
@@ -380,12 +371,11 @@ def relation_to_scheme(aut: Automaton, pairs, sinks=None) -> EvacScheme:
 # Flow certificates (non-amenability lower bounds)
 
 
-@dataclass(frozen=True)
-class FlowCertificate:
-    C: Fraction
-    eps: Fraction
-    flow: dict[Edge, Fraction]            # internal directed edges, both directions
-    boundary_inflow: dict[str, Fraction]  # per boundary vertex, summed over its slots
+class FlowCertificate(namedtuple("FlowCertificate", "C eps flow boundary_inflow")):
+    """Constants C and eps, the flow on internal directed edges (both
+    directions) and the inflow per boundary vertex, summed over its slots."""
+
+    __slots__ = ()
 
     def as_obj(self) -> dict:
         listed = sorted((u, a, w) for (u, a, w) in self.flow if not a.endswith(INV))
@@ -397,12 +387,10 @@ class FlowCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
-    accepted: bool
-    failures: tuple[str, ...]
-    bound: Fraction | None           # eps / C when accepted
-    inequality_holds: bool | None    # eps |Y| <= C |cheeger boundary|
+# bound is eps / C and inequality_holds is eps |Y| <= C |cheeger boundary|,
+# both None unless accepted
+CertificateVerdict = namedtuple("CertificateVerdict",
+                                "accepted failures bound inequality_holds")
 
 
 def _fraction(x) -> Fraction:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from array import array
 
-from .cayley import Automaton, GenAlphabet, INV, base_symbol, letter_symbol
+from .cayley import DEFAULT_BUDGET, INV, Automaton, GenAlphabet, base_symbol, letter_symbol
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """Enumeration would produce more forests than the configured budget."""
 
 
@@ -109,9 +109,6 @@ def letter_steps(letter: str) -> tuple:
     return (PRIMITIVES[sym, sign],)
 
 
-DEFAULT_BUDGET = 10_000_000
-
-
 def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
                  budget: int = DEFAULT_BUDGET) -> Automaton:
     """BB(n, k) as an automaton over the given alphabet of forest generators."""
@@ -121,7 +118,12 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         raise ValueError("k must be nonnegative")
     from . import counting
 
-    letters = [(a, letter_steps(a)) for a in alphabet.letters()]
+    # a letter's first step and the rest of its composite (x2 only): a
+    # one-step letter calls its primitive directly, without the step loop
+    letters = []
+    for a in alphabet.letters():
+        (step, arg), *rest = letter_steps(a)
+        letters.append((a, step, arg, rest))
     total = counting.bb_count(n, k)
     if total > budget:
         raise BudgetExceeded(f"|BB({n},{k})| = {total} exceeds budget {budget}")
@@ -141,15 +143,18 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
     tgt = array("i")
     for s in shapes:
         for i in range(len(s)):
-            for a, steps in letters:
-                r = (s, i)
-                for step, arg in steps:
-                    r = step(tt, r[0], r[1], arg)
-                    if r is None:
-                        tgt.append(-1)
-                        break
-                else:
-                    if r[0] not in base:
-                        raise AssertionError(f"action {a!r} left BB({n},{k})")
-                    tgt.append(base[r[0]] + r[1])
+            for a, step, arg, rest in letters:
+                r = step(tt, s, i, arg)
+                if rest:
+                    for step, arg in rest:
+                        if r is None:
+                            break
+                        r = step(tt, *r, arg)
+                if r is None:
+                    tgt.append(-1)
+                    continue
+                v = base.get(r[0])
+                if v is None:
+                    raise AssertionError(f"action {a!r} left BB({n},{k})")
+                tgt.append(v + r[1])
     return Automaton.from_targets(alphabet, keys, tgt)

@@ -45,7 +45,8 @@ def test_ball_report_csv(tmp_path):
     code = run(["ball", "--r", "1", "--format", "csv",
                 "--report", str(report), "--no-timestamp"])
     assert code == EXIT_OK
-    rows = list(csv.reader(report.open()))
+    with report.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["letter", "nu"]
     assert ["x0", "3"] in rows and ["x1^-1", "3"] in rows
 
@@ -378,6 +379,42 @@ def test_build_bytes_are_pinned(tmp_path, monkeypatch, args, out_sha, report_sha
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest(out) == out_sha
     assert digest("report.json") == report_sha
+
+
+# an abstract automaton with one bottleneck: the internal vertices v00..v11
+# (an a-cycle, b an affine permutation mod 13) reach the boundary vertex z
+# by two b-edges only
+NECK = [f"v{i:02d}" for i in range(12)] + ["z"]
+BOTTLENECK = {"format": "fcayley-automaton", "alphabet": ["a", "b"], "values": None,
+              "vertices": NECK,
+              "edges": [[NECK[i], "a", NECK[(i + 1) % 12]] for i in range(12)]
+              + [[NECK[i], "b", NECK[(5 * i + 3) % 13]] for i in range(13)]}
+BOTTLENECK_CERT = {"C": "1", "eps": "1/2",
+                   "flow": [["v00", "a", "v01", "1/3"], ["v03", "b", "v05", "-1"],
+                            ["v07", "a", "v08", "1/2"]],
+                   "boundary_inflows": {"z": "3/2"}}
+
+
+def test_evac_and_certify_bytes_are_pinned(tmp_path, monkeypatch):
+    # sha256 of an evac scheme, an evac witness and a rejected certify
+    # verdict; the outputs record the input paths, so they run in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neck.json").write_text(json.dumps(BOTTLENECK))
+    (tmp_path / "cert.json").write_text(json.dumps(BOTTLENECK_CERT))
+    assert run(["ball", "--r", "3", "--out", "ball3.json", "--no-timestamp",
+                "--report", "report.json"]) == EXIT_OK
+    tail = ["--no-timestamp", "--out"]
+    assert run(["evac", "--automaton", "ball3.json"] + tail + ["scheme.json"]) == EXIT_OK
+    assert run(["evac", "--automaton", "neck.json"] + tail + ["witness.json"]) == EXIT_OK
+    assert run(["certify", "--automaton", "neck.json", "--cert", "cert.json"]
+               + tail + ["verdict.json"]) == EXIT_REJECTED
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("scheme.json") == (
+        "53068950eca96c56d886ccf4e7153fd4404ea3a092b3b45b9e7044dc618dbef7")
+    assert digest("witness.json") == (
+        "b3c1ecb2af0147372d86cfde25e3fb79c268d166dee5921372e30987c5aaaa12")
+    assert digest("verdict.json") == (
+        "8ea94ef88276183b409d0e2ad7e95d8b62243483e4c23371e190373d9825b0dc")
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
