@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
 from operator import ge, ne
@@ -303,7 +302,7 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
     while x < 1:
         x *= 10
         exp -= 1
-    scaled = x * Fraction(10) ** (digits - 1)
+    scaled = x * 10 ** (digits - 1)
     n = scaled.numerator // scaled.denominator
     if 2 * (scaled - n) >= 1:
         n += 1
@@ -323,6 +322,8 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
 
 
 def boundary_report(aut: Automaton) -> BoundaryReport:
+    from fractions import Fraction
+
     m = aut.alphabet.m
     nu = {a: aut.tgt[j::2 * m].count(-1) for j, a in enumerate(aut.alphabet.letters())}
     inner = sum(aut.boundary_flags())
@@ -370,24 +371,25 @@ def _cayley_automaton(elements: list[FElement], alphabet: GenAlphabet,
                       rounds: int) -> Automaton:
     """Slots g -> g*a: each round multiplies the elements the round before
     found (the first, the given ones).  Multiplied elements are the vertices,
-    the last round's new products are outer; elements are numbered as found,
-    and a key is rendered only for a reduced depth pair not seen before."""
-    values = [alphabet.value(a) for a in alphabet.letters()]
-    number = {(g.dd, g.rd): i for i, g in enumerate(elements)}
+    the last round's new products are outer; elements are kept as reduced
+    depth pairs, numbered as found, and their keys rendered at the end."""
+    values = [(v.dd, v.rd) for v in map(alphabet.value, alphabet.letters())]
+    pairs = [(g.dd, g.rd) for g in elements]
+    number = {pair: i for i, pair in enumerate(pairs)}
     rows: list[int] = []
     size = 0
     for _ in range(rounds):
-        start, size = size, len(elements)
-        for g in elements[start:size]:
+        start, size = size, len(pairs)
+        for g in pairs[start:size]:
             for v in values:
                 pair = fgroup.product(g, v)
-                if pair not in number:
-                    number[pair] = len(elements)
-                    elements.append(FElement(*pair))
-                rows.append(number[pair])
+                w = number.setdefault(pair, len(pairs))
+                if w == len(pairs):
+                    pairs.append(pair)
+                rows.append(w)
+    keys = fgroup.pair_keys(pairs)
     tgt = array("i", [w if w < size else -1 for w in rows])
-    outer = frozenset(g.key for g in elements[size:])
-    return Automaton.from_targets(alphabet, [g.key for g in elements[:size]], tgt, outer)
+    return Automaton.from_targets(alphabet, keys[:size], tgt, frozenset(keys[size:]))
 
 
 # ---------------------------------------------------------------------------

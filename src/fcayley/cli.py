@@ -18,7 +18,6 @@ from .cayley import (
     DEFAULT_BUDGET,
     ball,
     boundary_report,
-    decimal_str,
     load_automaton,
     make_alphabet,
     report_csv_rows,
@@ -150,15 +149,10 @@ def _sweep_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for rec in records:
-            row = [rec.n, rec.k, rec.alphabet, str(rec.size)]
-            row += [str(rec.nu[a]) if a in rec.nu else "" for a in NU_COLUMNS]
-            row += [str(rec.density), decimal_str(rec.density),
-                    str(rec.iota), decimal_str(rec.iota),
-                    str(rec.p), decimal_str(rec.p) if rec.p else "0",
-                    str(rec.xi) if rec.xi is not None else "",
-                    decimal_str(rec.xi) if rec.xi else ""]
-            writer.writerow(row)
+        for rec in records:  # the fields of the JSON record, "" for null
+            obj = rec.as_obj()
+            obj.update((f"nu_{a}", v) for a, v in obj["nu"].items())
+            writer.writerow(["" if obj.get(f) is None else obj[f] for f in fields])
 
 
 def cmd_sweep(args) -> int:

@@ -165,6 +165,20 @@ def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     return out
 
 
+def exact_str(x) -> str:
+    """str(x) of a nonnegative int or Fraction of any size: str() refuses
+    more digits than a limit (4300 by default, 640 at least), so integers
+    past 600 digits are rendered in halves."""
+    if not isinstance(x, int):
+        return exact_str(x.numerator) + ("" if x.denominator == 1
+                                         else "/" + exact_str(x.denominator))
+    if x < 10 ** 600:
+        return str(x)
+    half = x.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    high, low = divmod(x, 10 ** half)
+    return exact_str(high) + exact_str(low).zfill(half)
+
+
 class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density iota p xi")):
     """Exact density data of BB(n, k) over one alphabet (xi is None at n = 1)."""
 
@@ -175,15 +189,15 @@ class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density io
             "n": self.n,
             "k": self.k,
             "alphabet": self.alphabet,
-            "size": str(self.size),
-            "nu": {a: str(v) for a, v in self.nu.items()},
-            "delta": str(self.density),
+            "size": exact_str(self.size),
+            "nu": {a: exact_str(v) for a, v in self.nu.items()},
+            "delta": exact_str(self.density),
             "delta_decimal": decimal_str(self.density),
-            "iota": str(self.iota),
+            "iota": exact_str(self.iota),
             "iota_decimal": decimal_str(self.iota),
-            "p": str(self.p),
+            "p": exact_str(self.p),
             "p_decimal": decimal_str(self.p) if self.p else "0",
-            "xi": str(self.xi) if self.xi is not None else None,
+            "xi": exact_str(self.xi) if self.xi is not None else None,
             "xi_decimal": decimal_str(self.xi) if self.xi else None,
         }
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
-from fractions import Fraction
 
 from .cayley import (
     INV,
@@ -394,6 +393,8 @@ CertificateVerdict = namedtuple("CertificateVerdict",
 
 
 def _fraction(x) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -455,11 +456,11 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
                 f"boundary inflow {val} at {v!r} exceeds C * {boundary_slots[v]} slots")
     if not failures:
         for v in aut.keys:
-            inflow = cert.boundary_inflow.get(v, Fraction(0))
+            inflow = cert.boundary_inflow.get(v, 0)
             for a, w in aut.slots[v].items():
                 if w is not None:
                     # edge arriving at v is the inverse of v's own slot edge
-                    inflow += cert.flow.get((w, letter_inverse(a), v), Fraction(0))
+                    inflow += cert.flow.get((w, letter_inverse(a), v), 0)
             if inflow < cert.eps:
                 failures.append(f"inflow {inflow} < eps at vertex {v!r}")
     if failures:

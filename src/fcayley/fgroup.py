@@ -15,18 +15,20 @@ reduced sequences `dd` (domain) and `rd` (range) and its key.
 
 Product.  Dyadic intervals are nested or disjoint, so the union of the
 breakpoints of b.range and a.domain cuts [0, 1] into the leaves of their
-least common extension (the union of both caret sets).  `multiply` sweeps
+least common extension (the union of both caret sets).  `product` sweeps
 that union once: a middle leaf of depth md inside b.range leaf i and
 a.domain leaf j has depth md - b.rd[i] + b.dd[i] in the product's domain
 and md - a.dd[j] + a.rd[j] in its range (the middle tree grafted onto
 b.domain and onto a.range).
 
 Reduction.  Leaves i, i+1 of a tree are the children of one caret exactly
-when both have depth d and leaf i starts on a multiple of 2^(T-d+1).
-`_reduce` pushes leaves left to right and collapses the top two while they
-are such a pair in both trees; a collapse can only pair with a neighbour,
-and the right one is checked when it is pushed.  Reduced pairs are unique,
-so the collapse order does not matter.
+when both have depth d and leaf i starts on a multiple of 2^(T-d+1).  The
+sweep pushes each product leaf onto a stack, whose width is where the leaf
+starts at the scale u = t + max(b.dd, a.rd) that bounds every product
+depth, and collapses the top two while they are such a pair in both trees;
+a collapse can only pair with a neighbour, and the right one is checked
+when it is pushed.  Reduced pairs are unique, so the collapse order does
+not matter, and a parsed pair is reduced as its product with 1.
 
 Keys are "domain|range", a tree written "." for a leaf and "(" + left +
 right + ")" for a caret.  `_enc` writes leaf i after one "(" per caret it is
@@ -113,29 +115,8 @@ def _parse(enc: str) -> Depths:
     return tuple(depths)
 
 
-def _reduce(dd, rd) -> tuple[Depths, Depths]:
-    """Collapse every common sibling pair of the depth sequences dd, rd."""
-    t = max(max(dd), max(rd))
-    sd, sr, sa, sb = [], [], [], []  # stacked leaves: depths and starts at scale 2^t
-    p = q = 0
-    for d, r in zip(dd, rd):
-        a, b = p, q
-        p += 1 << (t - d)
-        q += 1 << (t - r)
-        while (sd and sd[-1] == d and sr[-1] == r
-               and not (sa[-1] >> (t - d)) & 1 and not (sb[-1] >> (t - r)) & 1):
-            sd.pop()
-            sr.pop()
-            a, b = sa.pop(), sb.pop()
-            d, r = d - 1, r - 1
-        sd.append(d)
-        sr.append(r)
-        sa.append(a)
-        sb.append(b)
-    return tuple(sd), tuple(sr)
-
-
-IDENTITY = FElement((0,), (0,))
+ONE: tuple[Depths, Depths] = ((0,), (0,))  # the identity's depth pair
+IDENTITY = FElement(*ONE)
 
 
 def element_from_key(key: str) -> FElement:
@@ -146,29 +127,39 @@ def element_from_key(key: str) -> FElement:
     dd, rd = _parse(parts[0]), _parse(parts[1])
     if len(dd) != len(rd):
         raise ValueError(f"domain and range of {key!r} have different leaf counts")
-    return FElement(*_reduce(dd, rd))
+    return FElement(*product(ONE, (dd, rd)))
 
 
 def multiply(a: FElement, b: FElement) -> FElement:
     """Product a*b, i.e. apply a first, then b."""
-    return FElement(*product(a, b))
+    return FElement(*product((a.dd, a.rd), (b.dd, b.rd)))
 
 
-def product(a: FElement, b: FElement) -> tuple[Depths, Depths]:
-    """Reduced depth pair of a*b, without its key: one sweep over the
-    breakpoints of b.range and a.domain (see the module docstring)."""
-    xs, ys, bd, ar = b.rd, a.dd, b.dd, a.rd
+def product(a: tuple[Depths, Depths], b: tuple[Depths, Depths]) -> tuple[Depths, Depths]:
+    """Reduced depth pair of a*b from the depth pairs (dd, rd) of a and b:
+    one sweep over the breakpoints of b.range and a.domain that collapses
+    each leaf as it is pushed (see the module docstring)."""
+    (ys, ar), (bd, xs) = a, b
     t = max(max(xs), max(ys))
-    dd, rd = [], []
-    i = j = p = 0
+    u = t + max(max(bd), max(ar))
+    dd, rd = [], []  # the stack of product leaves
+    i = j = p = s = q = 0  # middle position at scale 2^t; stack widths at 2^u
     n = len(xs)
     end_x, end_y = 1 << (t - xs[0]), 1 << (t - ys[0])
     while True:
         x, y = xs[i], ys[j]
         md = x if x > y else y
-        dd.append(md - x + bd[i])
-        rd.append(md - y + ar[j])
-        p += 1 << (t - md)
+        d, r = md - x + bd[i], md - y + ar[j]
+        wd, wr = 1 << (u - d), 1 << (u - r)
+        # a top of equal depths ending on an odd multiple of its width is a left child
+        while dd and dd[-1] == d and rd[-1] == r and s & wd and q & wr:
+            dd.pop()
+            rd.pop()
+            s, q, wd, wr = s - wd, q - wr, wd << 1, wr << 1
+            d, r = d - 1, r - 1
+        dd.append(d)
+        rd.append(r)
+        s, q, p = s + wd, q + wr, p + (1 << (t - md))
         if p == end_x:
             i += 1
             if i == n:
@@ -177,7 +168,13 @@ def product(a: FElement, b: FElement) -> tuple[Depths, Depths]:
         if p == end_y:
             j += 1
             end_y += 1 << (t - ys[j])
-    return _reduce(dd, rd)
+    return tuple(dd), tuple(rd)
+
+
+def pair_keys(pairs) -> list[str]:
+    """Keys of reduced depth pairs, each distinct tree rendered once."""
+    enc = {tree: _enc(tree) for tree in {tree for pair in pairs for tree in pair}}
+    return [enc[dd] + "|" + enc[rd] for dd, rd in pairs]
 
 
 def invert(a: FElement) -> FElement:

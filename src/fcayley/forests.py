@@ -15,9 +15,11 @@ Undefined moves return None; they are values, not errors.
 Vertex core.  A `TreeTable` builds and numbers the trees of height <= k
 with at most n leaves by leaf count, each caret a join of two smaller trees
 of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
-shape s marked at tree i, is numbered base[s] + i.  x0 is then i -+ 1, and
-a split or a merge is one table lookup.  Keys ("(..)*;." with "*" after
-the marked tree) are rendered once per vertex, and the automaton sorts them.
+shape s marked at tree i, is numbered base[s] + i.  The action is one
+target column per primitive step: x0 is a range v -+ 1, a split or a merge
+one table lookup per vertex, and x2 indexes the columns of its steps.  Keys
+("(..)*;." with "*" after the marked tree) are rendered once per vertex,
+and the automaton sorts them.
 """
 
 from __future__ import annotations
@@ -118,15 +120,17 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         raise ValueError("k must be nonnegative")
     from . import counting
 
-    # a letter's first step and the rest of its composite (x2 only): a
-    # one-step letter calls its primitive directly, without the step loop
-    letters = []
-    for a in alphabet.letters():
-        (step, arg), *rest = letter_steps(a)
-        letters.append((a, step, arg, rest))
-    total = counting.bb_count(n, k)
+    letters = alphabet.letters()
+    steps = [letter_steps(a) for a in letters]
+    # |BB(n, k)| >= n, and |BB(m, k)| <= |BB(n, k)| for m <= n (appending a
+    # trivial tree is injective): counts at m = 1, 2, 4, ... refuse a budget
+    # before the count table grows to n
+    m, total = 0, n
+    while total <= budget and m < n:
+        m = min(2 * m, n) or 1
+        total = counting.bb_count(m, k)
     if total > budget:
-        raise BudgetExceeded(f"|BB({n},{k})| = {total} exceeds budget {budget}")
+        raise BudgetExceeded(f"|BB({n},{k})| >= {counting.exact_str(total)} exceeds budget {budget}")
     tt = TreeTable(min(k, n), n)  # a tree with n leaves has height below n
     shapes = tt.shapes(n)
     base: dict[tuple[int, ...], int] = {}
@@ -140,21 +144,33 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
             encs[i] = e
     if len(keys) != total:
         raise AssertionError(f"enumerated {len(keys)} forests, DP counts {total}")
-    tgt = array("i")
-    for s in shapes:
-        for i in range(len(s)):
-            for a, step, arg, rest in letters:
-                r = step(tt, s, i, arg)
-                if rest:
-                    for step, arg in rest:
-                        if r is None:
-                            break
-                        r = step(tt, *r, arg)
-                if r is None:
-                    tgt.append(-1)
-                    continue
-                v = base.get(r[0])
-                if v is None:
-                    raise AssertionError(f"action {a!r} left BB({n},{k})")
-                tgt.append(v + r[1])
+
+    # one target column per primitive step, shared by multiset copies
+    columns: dict[tuple, array] = {}
+    for a, seq in zip(letters, steps):
+        for step, arg in seq:
+            if (step, arg) in columns:
+                continue
+            if step is _move:  # x0 moves: v + arg inside each shape
+                col = array("i", range(arg, total + arg))
+                for s, v in base.items():
+                    col[v if arg < 0 else v + len(s) - 1] = -1
+            else:
+                col = array("i")
+                for s in shapes:
+                    for i in range(len(s)):
+                        r = step(tt, s, i, arg)
+                        v = base.get(r[0]) if r else -1
+                        if v is None:
+                            raise AssertionError(f"action {a!r} left BB({n},{k})")
+                        col.append(v + r[1] if r else -1)
+            columns[step, arg] = col
+    d = len(letters)
+    tgt = array("i", [-1]) * (d * total)
+    for j, seq in enumerate(steps):
+        col = columns[seq[0]]
+        for step in seq[1:]:  # x2: index the next column, -1 appended for index -1
+            col = array("i", map((columns[step] + array("i", [-1])).__getitem__, col))
+        tgt[j::d] = col
+    del columns, col  # sorting the vertices copies tgt
     return Automaton.from_targets(alphabet, keys, tgt)

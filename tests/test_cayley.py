@@ -24,6 +24,8 @@ from fcayley.cayley import (
 )
 from fractions import Fraction
 
+import tree_pairs
+
 
 def test_letter_inverse():
     assert letter_inverse("x0") == "x0^-1"
@@ -275,3 +277,40 @@ def test_save_matches_json_dump(tmp_path, values, outer):
         assert path.read_bytes() == (want.getvalue() + "\n").encode()
         again = load_automaton(path)
         assert again.slots == aut.slots and again.outer == aut.outer
+
+
+def naive_ball(r, alphabet):
+    """Rows and outer keys of the ball by breadth-first search on the
+    textbook tree-pair product, one reference key per product."""
+    one = tree_pairs.LEAF
+    letters = alphabet.letters()
+    values = {a: tuple(map(tree_pairs.parse_tree, alphabet.value(a).key.split("|")))
+              for a in letters}
+    found = {tree_pairs.key((one, one)): (one, one)}
+    frontier = list(found.values())
+    for _ in range(r):
+        new = []
+        for g in frontier:
+            for a in letters:
+                h = tree_pairs.multiply(g, values[a])
+                if tree_pairs.key(h) not in found:
+                    found[tree_pairs.key(h)] = h
+                    new.append(h)
+        frontier = new
+    rows, outer = {}, set()
+    for v, g in found.items():
+        row = {a: tree_pairs.key(tree_pairs.multiply(g, values[a])) for a in letters}
+        outer.update(w for w in row.values() if w not in found)
+        rows[v] = {a: w if w in found else None for a, w in row.items()}
+    return rows, outer
+
+
+@pytest.mark.parametrize("spec", ["x0,x1", "x1,xb1,x0,x0", "x0,x2"])
+def test_ball_matches_naive_build(spec):
+    al = make_alphabet(spec)
+    for r in range(5):
+        aut = ball(r, al)
+        rows, outer = naive_ball(r, al)
+        assert aut.keys == tuple(sorted(rows)), (spec, r)
+        assert dict(aut.slots) == rows, (spec, r)
+        assert aut.outer == outer, (spec, r)

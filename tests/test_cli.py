@@ -345,6 +345,54 @@ def test_bb_count_mode_with_unbinding_cap_is_fast(tmp_path, monkeypatch):
                                                                      - counting.catalan(400))
 
 
+def digits_value(text: str) -> int:
+    """The integer a decimal string spells, read 1000 digits at a time, as
+    int() refuses strings past the interpreter's digit limit too."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    return value
+
+
+def test_counts_past_the_str_limit_render(tmp_path):
+    from fractions import Fraction
+
+    from fcayley.cli import _sweep_csv
+    from fcayley.counting import DensityRecord
+
+    size = 7 * 10 ** 4999 + 3 ** 1000  # 5,000 digits with a run of zeros inside
+    rec = DensityRecord(n=9, k=3, alphabet="x0", size=size,
+                        nu={"x0": size - 1, "x0^-1": 10 ** 4500},
+                        density=Fraction(2 * size - 1, size), iota=Fraction(2 * size + 1, size),
+                        p=Fraction(size - 2, size), xi=Fraction(size, size + 1))
+    obj = rec.as_obj()
+    assert len(obj["size"]) == 5000 and digits_value(obj["size"]) == size
+    assert [digits_value(obj["nu"][a]) for a in ("x0", "x0^-1")] == [size - 1, 10 ** 4500]
+    for field in ("delta", "iota", "p", "xi"):
+        num, den = obj[field].split("/")
+        assert Fraction(digits_value(num), digits_value(den)) == getattr(
+            rec, "density" if field == "delta" else field), field
+    _sweep_csv([rec], tmp_path / "sweep.csv")
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, row = list(csv.reader(fh))
+    row = dict(zip(header, row))
+    assert row["size"] == obj["size"] and row["nu_x0"] == obj["nu"]["x0"]
+    assert [row[f] for f in ("delta", "iota", "p", "xi")] == [
+        obj[f] for f in ("delta", "iota", "p", "xi")]
+
+
+def test_bb_count_mode_past_the_str_limit(tmp_path, monkeypatch):
+    from fcayley import counting
+
+    monkeypatch.setattr(counting, "_tables", {})
+    out = tmp_path / "rec.json"
+    assert run(["bb", "--n", "12000", "--k", "3", "--mode", "count",
+                "--out", str(out), "--no-timestamp"]) == EXIT_OK
+    size = read_json(out)["record"]["size"]
+    assert len(size) > 4300
+    assert digits_value(size) == counting.bb_count(12000, 3)
+
+
 def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
     for flag, value in (("--report", str(tmp_path / "rep.json")), ("--budget", "5")):
         code = run(["bb", "--n", "3", "--k", "1", "--mode", "count", flag, value,

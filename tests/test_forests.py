@@ -115,6 +115,25 @@ def test_enumerate_budget_guard():
         bb_automaton(8, 3, ALL, budget=10)
 
 
+def test_budget_refused_before_the_table_grows_to_n(monkeypatch):
+    grown, table = [], counting.table  # leaf counts the count tables are asked for
+    monkeypatch.setattr(counting, "table", lambda k, n: grown.append(n) or table(k, n))
+    # |BB(n, 0)| = n, so n > budget refuses without a count
+    with pytest.raises(BudgetExceeded, match=r"\|BB\(50,0\)\| >= 50 exceeds budget 10"):
+        bb_automaton(50, 0, ALL, budget=10)
+    assert grown == []
+    # a count at a small m already exceeds the budget
+    with pytest.raises(BudgetExceeded):
+        bb_automaton(30000, 3, ALL)
+    assert grown and max(grown) <= 64
+
+
+def test_budget_message_renders_any_count(monkeypatch):
+    monkeypatch.setattr(counting, "bb_count", lambda n, k: 10 ** 5000)
+    with pytest.raises(BudgetExceeded, match=r">= 1(0{5000}) exceeds budget"):
+        bb_automaton(5, 2, ALL)
+
+
 def test_catalan_limit_when_cap_not_binding():
     # forests with n leaves, unbounded height: the nth Catalan number
     for n in range(1, 8):
@@ -195,7 +214,7 @@ def test_act_rejects_unknown_letter():
         bb_automaton(1, 1, GenAlphabet(("x9",)))
 
 
-@pytest.mark.parametrize("spec", ["x0,x1,xb1,x2", "x1,xb1,x0,x0"])
+@pytest.mark.parametrize("spec", ["x0,x1,xb1,x2", "x1,xb1,x0,x0", "x2,x0"])
 def test_integer_core_matches_reference_action(spec):
     al = make_alphabet(spec)
     for n, k in itertools.product(range(1, 9), range(0, 4)):

@@ -25,7 +25,7 @@ COMMANDS = {
     "help": (["--help"], {"fcayley.cli"},
              {"fcayley.counting", "fcayley.evac", "fcayley.forests"}),
     "evac": (["evac", "--automaton", "tiny.json", "--no-timestamp"], {"fcayley.evac"},
-             {"fcayley.counting", "fcayley.forests"}),
+             {"fcayley.counting", "fcayley.forests", "fractions", "decimal"}),
     "ball": (["ball", "--r", "1", "--no-timestamp"], {"fcayley.cayley"},
              {"fcayley.evac", "fcayley.counting"}),
     "sweep": (["sweep", "--k", "2", "--n", "3", "--no-timestamp"], {"fcayley.counting"},
