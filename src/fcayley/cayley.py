@@ -13,8 +13,8 @@ Vertex core.  An automaton is the sorted tuple `keys` (vertex i is keys[i])
 and one flat array `tgt`: tgt[i * 2m + j] is the vertex that slot j of
 vertex i targets, or -1 for a boundary slot, slots in `letters()` order, so
 slot (j + m) mod 2m is the inverse of slot j.  Builders, the Serre check,
-reports, the solver and the file writer work on these integers; key strings
-are rendered once per vertex, and `slots` renders rows only when asked.
+reports, the evacuation helpers and the file writer work on these integers;
+key strings are rendered once per vertex, and `slots` rows only for tests and tools.
 """
 
 from __future__ import annotations
@@ -218,11 +218,9 @@ class Automaton:
     def __len__(self):
         return len(self.keys)
 
-    def __contains__(self, key: str):
-        return key in self.index
-
     def accepts(self, v: str, letter: str) -> bool:
-        return self.slots[v][letter] is not None
+        letters = self.alphabet.letters()
+        return self.tgt[self.index[v] * len(letters) + letters.index(letter)] >= 0
 
     def boundary_flags(self) -> list[bool]:
         """Per vertex number, whether it has a boundary slot."""
@@ -255,15 +253,15 @@ class Automaton:
 
     def restrict(self, keys) -> "Automaton":
         """Induced sub-automaton on a subset of vertices (ambient info dropped)."""
-        keep = set(keys)
-        unknown = keep - set(self.keys)
-        if unknown:
-            raise ValueError(f"keys not in automaton: {sorted(unknown)[:3]}")
-        slots = {
-            v: {a: (w if w in keep else None) for a, w in self.slots[v].items()}
-            for v in keep
-        }
-        return Automaton(self.alphabet, slots, outer=None)
+        index, d, keep = self.index, 2 * self.alphabet.m, set(keys)
+        if unknown := sorted(keep - index.keys()):
+            raise ValueError(f"keys not in automaton: {unknown[:3]}")
+        rows = sorted(map(index.__getitem__, keep))  # kept vertices, in key order
+        new = [-1] * (len(self.keys) + 1)  # new number of each old one; new[-1] = -1
+        for r, i in enumerate(rows):
+            new[i] = r
+        tgt = array("i", [new[w] for i in rows for w in self.tgt[i * d:i * d + d]])
+        return Automaton.from_targets(self.alphabet, [self.keys[i] for i in rows], tgt)
 
 
 class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_boundary "
@@ -463,7 +461,9 @@ def automaton_from_obj(obj: dict) -> Automaton:
     # Default format lists one directed edge per inverse pair and the loader
     # fills both slots.  With "directed": true every directed edge must be
     # listed explicitly, and `Automaton` rejects a missing inverse.
-    directed = bool(obj.get("directed", False))
+    directed = obj.get("directed", False)
+    if not isinstance(directed, bool):
+        raise AutomatonFormatError(f"directed must be true or false, not {directed!r}")
 
     def set_slot(u: int, j: int, w: int) -> None:
         cur = tgt[u * d + j]

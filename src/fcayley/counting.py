@@ -69,8 +69,9 @@ class CountTable:
     """The series F and G of one height cap up to n_max leaves."""
 
     def __init__(self, k: int, n_max: int):
-        self.k = k
-        self.F, self.G = [1], [0]
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        self.k, self.F, self.G = k, [1], [0]
         self._S: dict[int, int] = {}  # S[m] read so far; growing keeps them
         self.grow(n_max)
 
@@ -265,8 +266,7 @@ def trimming_constants(p0: Fraction = Fraction(1, 260),
     """Symbolic form of the trimming bound: with p > p0 and any eps in (0, p0),
     the isoperimetric constant is below 1 - (p0 - eps)/(1 - p0); the choice
     eps = p0/2 gives 517/518 for p0 = 1/260."""
-    if eps is None:
-        eps = p0 / 2
+    eps = p0 / 2 if eps is None else eps
     bound = 1 - (p0 - eps) / (1 - p0)
     return {"p0": p0, "eps": eps, "iota_bound": bound}
 

@@ -15,12 +15,17 @@ is saturated and no arc into R carries flow, so K * |edges out of R| is the
 number of units already routed out of R, at most |R| - 1 because v's unit
 is not among them.  The brute-force subset oracle checks the condition
 independently of the flow route.
+
+A psi relation (a scheme's used edges, reversed) is a flow by another name:
+`relation_to_scheme` peels it with the solver's own walker.  Every helper
+reads the integer core (`keys`, `index`, `tgt`), never the `slots` rows.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
+from itertools import compress
 
 from .cayley import (
     INV,
@@ -50,12 +55,8 @@ class EvacScheme(namedtuple("EvacScheme", "K paths")):
 
     __slots__ = ()
 
-    def edge_usage(self) -> dict[Edge, int]:
-        usage: dict[Edge, int] = {}
-        for path in self.paths.values():
-            for e in path:
-                usage[e] = usage.get(e, 0) + 1
-        return usage
+    def edge_usage(self) -> Counter[Edge]:
+        return Counter(e for path in self.paths.values() for e in path)
 
     def as_obj(self) -> dict:
         return {
@@ -67,10 +68,11 @@ class EvacScheme(namedtuple("EvacScheme", "K paths")):
 
 def scheme_from_obj(obj: dict) -> EvacScheme:
     try:
-        K = int(obj["K"])
-        raw = obj["paths"]
-    except (KeyError, TypeError, ValueError) as exc:
+        K, raw = obj["K"], obj["paths"]
+    except (KeyError, TypeError) as exc:
         raise AutomatonFormatError(f"bad scheme object: {exc}") from None
+    if type(K) is not int or K < 1:  # a JSON integer; bools are not
+        raise AutomatonFormatError(f"scheme K must be an integer >= 1, not {K!r}")
     if not (isinstance(raw, dict) and all(
             isinstance(path, (list, tuple)) and all(map(is_edge_entry, path))
             for path in raw.values())):
@@ -95,41 +97,53 @@ SolveResult = namedtuple("SolveResult", "exists scheme witness")  # scheme or wi
 def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
     """Raise SchemeValidationError unless the scheme is a valid evacuation
     scheme on the automaton (purity conditions included when K = 1)."""
-    index, tgt, d = aut.index, aut.tgt, 2 * aut.alphabet.m
-    slot = {a: j for j, a in enumerate(aut.alphabet.letters())}
+    keys, letters, index, tgt = aut.keys, aut.alphabet.letters(), aut.index, aut.tgt
+    d, arc = len(letters), _arc_finder(aut)
     boundary = aut.boundary_flags()
-    if set(scheme.paths) != set(aut.keys):
+    if set(scheme.paths) != set(keys):
         raise SchemeValidationError("scheme must assign a path to every vertex")
+    usage = [0] * len(tgt)  # per arc number
     for v, path in scheme.paths.items():
         if not path:
             if not boundary[index[v]]:
                 raise SchemeValidationError(
                     f"empty path at {v!r}, which is not a boundary vertex")
             continue
-        cur = v
-        seen = {v}
+        cur, seen = v, {v}
         for (u, a, w) in path:
             if u != cur:
                 raise SchemeValidationError(f"path of {v!r} breaks at {u!r}")
-            if a not in slot or w not in index or tgt[index[u] * d + slot[a]] != index[w]:
+            e = arc(u, a, w)
+            if e < 0:
                 raise SchemeValidationError(
                     f"path of {v!r} uses a non-edge ({u!r}, {a!r}, {w!r})")
             if scheme.K == 1 and w in seen:
                 raise SchemeValidationError(f"path of {v!r} revisits {w!r}")
             seen.add(w)
+            usage[e] += 1
             cur = w
         if not boundary[index[cur]]:
             raise SchemeValidationError(
                 f"path of {v!r} ends at {cur!r}, not on the inner boundary")
-    usage = scheme.edge_usage()
-    for e, count in usage.items():
-        if count > scheme.K:
-            raise SchemeValidationError(f"edge {e!r} used {count} > K = {scheme.K} times")
-    if scheme.K == 1:
-        for (u, a, w) in usage:
-            if (w, letter_inverse(a), u) in usage:
-                raise SchemeValidationError(
-                    f"pure scheme uses both ({u!r}, {a!r}) and its inverse")
+    for e in compress(range(len(usage)), usage):  # the arcs in use
+        u, a, w = keys[e // d], letters[e % d], tgt[e]
+        if usage[e] > scheme.K:
+            raise SchemeValidationError(
+                f"edge {(u, a, keys[w])!r} used {usage[e]} > K = {scheme.K} times")
+        if scheme.K == 1 and usage[w * d + (e + d // 2) % d]:
+            raise SchemeValidationError(f"pure scheme uses both ({u!r}, {a!r}) and its inverse")
+
+
+def _arc_finder(aut: Automaton):
+    """(u, a, w) -> arc number of that edge, or -1 for a non-edge or an
+    unknown u, a or w: tgt[index[u] * 2m + slot[a]] == index[w]."""
+    index, tgt = aut.index, aut.tgt
+    slot = {a: j for j, a in enumerate(aut.alphabet.letters())}
+
+    def arc(u, a, w) -> int:
+        e = index[u] * len(slot) + slot[a] if u in index and a in slot else -1
+        return e if e >= 0 and tgt[e] == index.get(w) else -1
+    return arc
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +162,7 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    keys, letters, tgt = aut.keys, aut.alphabet.letters(), aut.tgt
-    d = len(letters)
+    keys, tgt, d = aut.keys, aut.tgt, 2 * aut.alphabet.m
     is_boundary = aut.boundary_flags()
     if not any(is_boundary):
         raise NoEvacuationTarget("automaton has no boundary slots")
@@ -170,10 +183,7 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
             end = e // d
             f[e] += 1
             f[tgt[e] * d + (e + d // 2) % d] -= 1
-    paths = {keys[s]: tuple((keys[e // d], letters[e % d], keys[tgt[e]])
-                            for e in _walk(tgt, f, d, is_boundary, s))
-             for s in range(len(keys))}
-    scheme = EvacScheme(K=K, paths=paths)
+    scheme = EvacScheme(K=K, paths=_paths(aut, f, is_boundary))
     validate_scheme(aut, scheme)
     return SolveResult(True, scheme, None)
 
@@ -203,18 +213,27 @@ def _search(tgt, f, K, d, is_boundary, s) -> tuple[dict[int, int], int]:
     return reached, -1
 
 
-def _walk(tgt, f, d, is_boundary, s) -> list[int]:
-    """Arcs of one unit's path from s to the boundary, consuming the flow.
+def _paths(aut: Automaton, f, sink) -> dict[str, tuple[Edge, ...]]:
+    """Every vertex's path, as edge triples, along the flow f (consumed) to
+    the vertices flagged in `sink`; a sink's own path is empty."""
+    keys, letters, tgt, d = aut.keys, aut.alphabet.letters(), aut.tgt, 2 * aut.alphabet.m
+    return {keys[s]: tuple((keys[e // d], letters[e % d], keys[tgt[e]])
+                           for e in _walk(tgt, f, d, sink, s))
+            for s in range(len(keys))}
 
-    An internal vertex sends out one unit more than it receives and a
-    boundary vertex sends out none, so a walk can only stop on the boundary.
-    Loops met along a walk are excised (dropping that circulation only lowers
-    edge usage), so every path comes out simple.
+
+def _walk(tgt, f, d, sink, s) -> list[int]:
+    """Arcs of one unit's path from s to a sink, consuming the flow.
+
+    A vertex that is no sink sends out at least one unit more than it
+    receives, until its own walk, so a walk can only stop on a sink (for the
+    solver, the boundary).  Loops met along a walk are excised (dropping that
+    circulation only lowers edge usage), so every path comes out simple.
     """
     path: list[int] = []
     depth = {s: 0}
     u = s
-    while not is_boundary[u]:
+    while not sink[u]:
         e = next((e for e in range(u * d, u * d + d) if f[e] > 0), None)
         if e is None:
             raise AssertionError("flow decomposition stuck; conservation broken")
@@ -247,38 +266,24 @@ def hall_oracle(aut: Automaton, K: int = 1, guard: int = 20) -> Witness | None:
     independent of the flow solver.  Guarded exponential: at most `guard`
     internal vertices.
     """
-    boundary = set(aut.inner_boundary())
-    if not boundary:
+    boundary, tgt, d = aut.boundary_flags(), aut.tgt, 2 * aut.alphabet.m
+    if not any(boundary):
         raise NoEvacuationTarget("automaton has no boundary slots")
-    internal = [v for v in aut.keys if v not in boundary]
+    internal = [v for v, b in enumerate(boundary) if not b]
     if len(internal) > guard:
         raise ValueError(f"{len(internal)} internal vertices exceed the oracle guard {guard}")
-    # precompute, per internal vertex, targets among internal vertices and
-    # the number of slots pointing elsewhere (all slots of an internal vertex
-    # are accepted, so "elsewhere" means boundary vertices of Y)
+    # per internal vertex, its targets among internal vertices and the number
+    # of its (all accepted) slots that target boundary vertices of Y
     pos = {v: i for i, v in enumerate(internal)}
-    targets: list[list[int]] = []
-    fixed_out: list[int] = []
-    for v in internal:
-        tl = []
-        fo = 0
-        for a, w in aut.slots[v].items():
-            if w in pos:
-                tl.append(pos[w])
-            else:
-                fo += 1
-        targets.append(tl)
-        fixed_out.append(fo)
+    targets = [[pos[w] for w in tgt[v * d:v * d + d] if w in pos] for v in internal]
+    fixed_out = [d - len(tl) for tl in targets]
     for mask in range(1, 1 << len(internal)):
         members = [i for i in range(len(internal)) if mask >> i & 1]
         out = 0
         for i in members:
-            out += fixed_out[i]
-            for j in targets[i]:
-                if not mask >> j & 1:
-                    out += 1
+            out += fixed_out[i] + sum(not mask >> j & 1 for j in targets[i])
         if K * out < len(members):
-            return Witness(Z=tuple(internal[i] for i in members), cheeger=out)
+            return Witness(Z=tuple(aut.keys[internal[i]] for i in members), cheeger=out)
     return None
 
 
@@ -286,14 +291,8 @@ def hall_oracle(aut: Automaton, K: int = 1, guard: int = 20) -> Witness | None:
 # Psi relations (reversed-arrow multi-valued partial functions)
 
 
-class PsiRelation(namedtuple("PsiRelation", "pairs index")):
-    """Ordered pairs <head, tail> of used edges; index = #preimages - #images."""
-
-    __slots__ = ()
-
-    def as_obj(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs],
-                "index": dict(sorted(self.index.items()))}
+# Ordered pairs <head, tail> of used edges; index = #preimages - #images
+PsiRelation = namedtuple("PsiRelation", "pairs index")
 
 
 def scheme_to_relation(scheme: EvacScheme) -> PsiRelation:
@@ -313,77 +312,48 @@ def scheme_to_relation(scheme: EvacScheme) -> PsiRelation:
 
 
 def relation_to_scheme(aut: Automaton, pairs, sinks=None) -> EvacScheme:
-    """Peel chains off a psi relation to assign every vertex a path to a sink.
+    """Peel a psi relation into a path from every vertex to a sink.
 
-    pairs are (head, tail) entries spanning directed edges tail -> head.
-    Every non-sink vertex needs index >= 1 (preimages minus images); sinks
-    default to the inner boundary and may have any index.  Walking a chain
-    consumes one pair per step, so edge usage is bounded by pair multiplicity.
+    A pair (head, tail) is one unit of flow on the first slot of tail that
+    targets head.  Every non-sink vertex needs index >= 1 (preimages minus
+    images); sinks default to the inner boundary.  The solver's walker peels
+    the flow: a vertex with several usable arcs takes the first in slot order,
+    and a chain that meets itself has the loop cut out.  K is the largest
+    pair multiplicity, which bounds edge usage.
     """
-    if sinks is None:
-        sinks = set(aut.inner_boundary())
-    else:
-        sinks = set(sinks)
-    if not sinks:
+    index, tgt, d = aut.index, aut.tgt, 2 * aut.alphabet.m
+    sink = aut.boundary_flags() if sinks is None else [False] * len(aut.keys)
+    for v in sinks or ():
+        if v not in index:
+            raise ValueError(f"sink {v!r} is not a vertex")
+        sink[index[v]] = True
+    if not any(sink):
         raise NoEvacuationTarget("no sinks to evacuate to")
-    # preimage pools: pre[v] holds multiset of pairs (x, v), i.e. edges v -> x
-    pre: dict[str, list[str]] = {v: [] for v in aut.keys}
-    n_img: dict[str, int] = {v: 0 for v in aut.keys}
+    f = [0] * len(tgt)
+    excess = [0] * len(aut.keys)  # the index of each vertex
     for head, tail in pairs:
-        if head not in aut.slots or tail not in aut.slots:
+        if head not in index or tail not in index:
             raise ValueError(f"pair ({head!r}, {tail!r}) mentions unknown vertices")
-        if head not in aut.slots[tail].values():
+        h, t = index[head], index[tail]
+        row = tgt[t * d:t * d + d]
+        if h not in row:
             raise ValueError(f"pair ({head!r}, {tail!r}) spans no edge {tail!r} -> {head!r}")
-        pre[tail].append(head)
-        n_img[head] += 1
-    for v in aut.keys:
-        if v not in sinks and len(pre[v]) - n_img[v] < 1:
-            raise ValueError(
-                f"vertex {v!r} has index {len(pre[v]) - n_img[v]} < 1 and is not a sink")
-    for pool in pre.values():
-        pool.sort(reverse=True)  # pop() takes the lexicographically least head
-    paths: dict[str, tuple] = {}
-    for v in aut.keys:
-        if v in sinks:
-            paths[v] = ()
-            continue
-        path = []
-        cur = v
-        while cur not in sinks:
-            if not pre[cur]:
-                raise AssertionError(f"chain stuck at non-sink {cur!r}")
-            nxt = pre[cur].pop()
-            n_img[nxt] -= 1
-            letter = next(a for a, w in aut.slots[cur].items() if w == nxt)
-            path.append((cur, letter, nxt))
-            cur = nxt
-        paths[v] = tuple(path)
-    max_mult = 0
-    counts: dict[tuple[str, str], int] = {}
-    for head, tail in pairs:
-        counts[(head, tail)] = counts.get((head, tail), 0) + 1
-        max_mult = max(max_mult, counts[(head, tail)])
-    return EvacScheme(K=max(1, max_mult), paths=paths)
+        f[t * d + row.index(h)] += 1
+        excess[t] += 1
+        excess[h] -= 1
+    for v, x, is_sink in zip(aut.keys, excess, sink):
+        if x < 1 and not is_sink:
+            raise ValueError(f"vertex {v!r} has index {x} < 1 and is not a sink")
+    return EvacScheme(K=max(1, max(f)), paths=_paths(aut, f, sink))
 
 
 # ---------------------------------------------------------------------------
 # Flow certificates (non-amenability lower bounds)
 
 
-class FlowCertificate(namedtuple("FlowCertificate", "C eps flow boundary_inflow")):
-    """Constants C and eps, the flow on internal directed edges (both
-    directions) and the inflow per boundary vertex, summed over its slots."""
-
-    __slots__ = ()
-
-    def as_obj(self) -> dict:
-        listed = sorted((u, a, w) for (u, a, w) in self.flow if not a.endswith(INV))
-        return {
-            "C": str(self.C),
-            "eps": str(self.eps),
-            "flow": [[u, a, w, str(self.flow[(u, a, w)])] for u, a, w in listed],
-            "boundary_inflows": {v: str(x) for v, x in sorted(self.boundary_inflow.items())},
-        }
+# Constants C and eps, the flow on internal directed edges (both directions)
+# and the inflow per boundary vertex, summed over its slots
+FlowCertificate = namedtuple("FlowCertificate", "C eps flow boundary_inflow")
 
 
 # bound is eps / C and inequality_holds is eps |Y| <= C |cheeger boundary|,
@@ -393,12 +363,15 @@ CertificateVerdict = namedtuple("CertificateVerdict",
 
 
 def _fraction(x) -> Fraction:
+    """A rational from a JSON string ("1/3", "0.5") or integer, never a float."""
     from fractions import Fraction
 
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise AutomatonFormatError(f"bad rational value {x!r}") from None
+    if type(x) in (str, int):  # a bool is not an int here
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise AutomatonFormatError(f"bad rational value {x!r}")
 
 
 def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
@@ -410,12 +383,13 @@ def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
         raise AutomatonFormatError(
             "certificate flow must be a list and boundary_inflows an object")
     flow: dict[Edge, Fraction] = {}
+    arc = _arc_finder(aut)
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4 and is_edge_entry(entry[:3])):
             raise AutomatonFormatError(f"bad flow entry {entry!r}")
         u, a, w, val = entry
         val = _fraction(val)
-        if aut.slots.get(u, {}).get(a) != w:
+        if arc(u, a, w) < 0:
             raise AutomatonFormatError(f"flow on non-edge ({u!r}, {a!r}, {w!r})")
         einv = (w, letter_inverse(a), u)
         for key, v in (((u, a, w), val), (einv, -val)):
@@ -423,9 +397,8 @@ def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
                 raise AutomatonFormatError(
                     f"antisymmetry violation on edge {key!r}: {flow[key]} vs {v}")
             flow[key] = v
-    boundary_inflow = {v: _fraction(x) for v, x in binflow.items()}
-    return FlowCertificate(C=_fraction(obj["C"]), eps=_fraction(obj["eps"]),
-                           flow=flow, boundary_inflow=boundary_inflow)
+    return FlowCertificate(C=_fraction(obj["C"]), eps=_fraction(obj["eps"]), flow=flow,
+                           boundary_inflow={v: _fraction(x) for v, x in binflow.items()})
 
 
 def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> CertificateVerdict:
@@ -436,14 +409,14 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
     An accepted certificate forces eps |Y| <= C |cheeger(Y)|, which is also
     verified exactly.
     """
+    keys, letters, tgt = aut.keys, aut.alphabet.letters(), aut.tgt
+    d = len(letters)
     failures: list[str] = []
     if cert.C <= 0 or cert.eps <= 0:
         failures.append("constants C and eps must be positive")
-    boundary_slots: dict[str, int] = {}
-    for v in aut.keys:
-        boundary_slots[v] = sum(1 for w in aut.slots[v].values() if w is None)
+    boundary_slots = {v: tgt[i * d:i * d + d].count(-1) for i, v in enumerate(keys)}
     for v in cert.boundary_inflow:
-        if v not in aut.slots:
+        if v not in boundary_slots:
             failures.append(f"boundary inflow for unknown vertex {v!r}")
         elif boundary_slots[v] == 0:
             failures.append(f"boundary inflow for internal vertex {v!r}")
@@ -455,12 +428,12 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
             failures.append(
                 f"boundary inflow {val} at {v!r} exceeds C * {boundary_slots[v]} slots")
     if not failures:
-        for v in aut.keys:
+        for i, v in enumerate(keys):
             inflow = cert.boundary_inflow.get(v, 0)
-            for a, w in aut.slots[v].items():
-                if w is not None:
+            for j, w in enumerate(tgt[i * d:i * d + d]):
+                if w >= 0:
                     # edge arriving at v is the inverse of v's own slot edge
-                    inflow += cert.flow.get((w, letter_inverse(a), v), 0)
+                    inflow += cert.flow.get((keys[w], letters[(j + d // 2) % d], v), 0)
             if inflow < cert.eps:
                 failures.append(f"inflow {inflow} < eps at vertex {v!r}")
     if failures:
@@ -491,25 +464,25 @@ def conjugate_relabel(scheme: EvacScheme, aut: Automaton) -> EvacScheme:
     """
     if scheme.K != 1:
         raise ValueError("relabelling is defined for pure schemes")
-    allowed = {"x0", "x1", "x2"}
-    if set(base_symbol(s) for s in aut.alphabet.symbols) != allowed:
+    if set(base_symbol(s) for s in aut.alphabet.symbols) != {"x0", "x1", "x2"}:
         raise ValueError("scheme must live over the alphabet {x0, x1, x2}")
 
+    index, tgt, d = aut.index, aut.tgt, 2 * aut.alphabet.m
+    x0 = aut.alphabet.symbols.index("x0")
+
     def after_x0(u: str) -> str:
-        w = aut.slots[u].get("x0")
-        return w if w is not None else u + "#x0"
+        w = tgt[index[u] * d + x0]
+        return aut.keys[w] if w >= 0 else u + "#x0"
 
     # assign formal x0 copies per new geometric x0-edge, identified by the
     # old vertex u owning the edge {u, after_x0(u)}
     copy_counter: dict[str, int] = {}
 
     def x0_letter(u: str, forward: bool) -> str:
-        n = copy_counter.get(u, 0)
-        copy_counter[u] = n + 1
-        if n >= 2:
-            raise SchemeValidationError(
-                f"new x0 edge at {u!r} would be used {n + 1} > 2 times")
-        sym = "x0" if n == 0 else "x0@2"
+        n = copy_counter[u] = copy_counter.get(u, 0) + 1
+        if n > 2:
+            raise SchemeValidationError(f"new x0 edge at {u!r} would be used {n} > 2 times")
+        sym = "x0" if n == 1 else "x0@2"
         return sym if forward else sym + INV
 
     new_paths: dict[str, tuple[Edge, ...]] = {}
@@ -522,15 +495,12 @@ def conjugate_relabel(scheme: EvacScheme, aut: Automaton) -> EvacScheme:
                 new_path.append((u, x0_letter(u if sign == 1 else w, sign == 1), w))
             elif sym == "x2":
                 new_path.append((u, "x1" if sign == 1 else "x1" + INV, w))
+            elif sym == "x1" and sign == 1:
+                mid = after_x0(u)
+                new_path += [(u, x0_letter(u, True), mid), (mid, "xb1", w)]
             elif sym == "x1":
-                if sign == 1:
-                    mid = after_x0(u)
-                    new_path.append((u, x0_letter(u, True), mid))
-                    new_path.append((mid, "xb1", w))
-                else:
-                    mid = after_x0(w)
-                    new_path.append((u, "xb1" + INV, mid))
-                    new_path.append((mid, x0_letter(w, False), w))
+                mid = after_x0(w)
+                new_path += [(u, "xb1" + INV, mid), (mid, x0_letter(w, False), w)]
             else:
                 raise ValueError(f"letter {a!r} outside the {{x0, x1, x2}} alphabet")
         new_paths[v] = tuple(new_path)
@@ -551,11 +521,10 @@ def validate_relabelled(scheme: EvacScheme) -> None:
         if base_symbol(letter_symbol(a)) not in ("x0", "x1", "xb1"):
             raise SchemeValidationError(f"letter {a!r} outside the multiset alphabet")
     # geometric x0 pairs: at most two traversals across both copies
-    geo: dict[frozenset, int] = {}
+    geo: Counter[frozenset] = Counter()
     for (u, a, w), count in usage.items():
         if base_symbol(letter_symbol(a)) == "x0":
-            key = frozenset((u, w)) if u != w else frozenset((u,))
-            geo[key] = geo.get(key, 0) + count
+            geo[frozenset((u, w))] += count  # {u} for a loop
     for key, count in geo.items():
         if count > 2:
             raise SchemeValidationError(
@@ -564,13 +533,8 @@ def validate_relabelled(scheme: EvacScheme) -> None:
 
 def label_use_counts(scheme: EvacScheme) -> dict[str, int]:
     """Signed per-label usage totals, multiset copies folded together."""
-    out: dict[str, int] = {}
-    for path in scheme.paths.values():
-        for (u, a, w) in path:
-            sign = INV if a.endswith(INV) else ""
-            key = base_symbol(letter_symbol(a)) + sign
-            out[key] = out.get(key, 0) + 1
-    return out
+    return dict(Counter(base_symbol(letter_symbol(a)) + (INV if a.endswith(INV) else "")
+                        for path in scheme.paths.values() for (u, a, w) in path))
 
 
 # ---------------------------------------------------------------------------

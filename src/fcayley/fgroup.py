@@ -74,12 +74,6 @@ class FElement:
     def __repr__(self):
         return f"FElement({self.key!r})"
 
-    def __mul__(self, other: "FElement") -> "FElement":
-        return multiply(self, other)
-
-    def __invert__(self) -> "FElement":
-        return invert(self)
-
 
 def _enc(depths: Depths) -> str:
     """Balanced-parentheses encoding of the tree with these leaf depths."""

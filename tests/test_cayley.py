@@ -25,6 +25,7 @@ from fcayley.cayley import (
 from fractions import Fraction
 
 import tree_pairs
+from fcayley.forests import bb_automaton
 
 
 def test_letter_inverse():
@@ -188,6 +189,28 @@ def test_restrict_consistency():
     assert len(sub) == 2
     assert len(sub.geometric_edges()) == 1
     assert sub.outer is None
+
+
+def reference_restrict(aut, keep):
+    """restrict() as dict rows read from `slots`."""
+    rows = {v: {a: (w if w in keep else None) for a, w in aut.slots[v].items()} for v in keep}
+    return Automaton(aut.alphabet, rows)
+
+
+@pytest.mark.parametrize("build", [lambda: ball(3, make_alphabet("x1,xb1,x0,x0")),
+                                   lambda: bb_automaton(6, 2, make_alphabet("x0,x1,xb1"))],
+                         ids=["ball", "bb"])
+def test_restrict_matches_dict_rows(build):
+    aut = build()
+    rng = random.Random(5)
+    for frac in (0.05, 0.3, 0.7, 1.0):
+        keep = set(rng.sample(aut.keys, max(1, int(frac * len(aut)))))
+        sub = aut.restrict(iter(sorted(keep)))  # any iterable, read once
+        ref = reference_restrict(aut, keep)
+        assert (sub.keys, sub.tgt, sub.outer) == (ref.keys, ref.tgt, None)
+        assert sub.slots == ref.slots
+    with pytest.raises(ValueError, match="not in automaton"):
+        aut.restrict([aut.keys[0], "nope"])
 
 
 def test_decimal_str():

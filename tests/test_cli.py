@@ -185,6 +185,45 @@ def test_certify_command(tmp_path):
     assert code == EXIT_REJECTED
 
 
+def test_certificate_numbers_are_strings_or_integers(tmp_path, capsys):
+    aut_path = tmp_path / "path3.json"
+    aut_path.write_text(json.dumps({"alphabet": ["a"], "vertices": ["v0", "v1", "v2"],
+                                    "edges": [["v0", "a", "v1"], ["v1", "a", "v2"]]}))
+    cert = {"C": 0.3, "eps": 0.1, "flow": [["v0", "a", "v1", 0.2], ["v1", "a", "v2", 0.1]],
+            "boundary_inflows": {"v0": 0.3, "v2": 0}}
+    cert_path, out = tmp_path / "cert.json", tmp_path / "verdict.json"
+    args = ["certify", "--automaton", str(aut_path), "--cert", str(cert_path),
+            "--out", str(out), "--no-timestamp"]
+    # floats (0.3 - 0.2 < 0.1 in binary) and bools are refused
+    for bad in (cert, dict(cert, C=True)):
+        cert_path.write_text(json.dumps(bad))
+        assert run(args) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: bad rational value ")
+    as_strings = {"C": "0.3", "eps": "1/10",
+                  "flow": [["v0", "a", "v1", "0.2"], ["v1", "a", "v2", "0.1"]],
+                  "boundary_inflows": {"v0": "0.3", "v2": 0}}
+    cert_path.write_text(json.dumps(as_strings))
+    assert run(args) == EXIT_OK
+    assert read_json(out)["bound"] == "1/3"
+
+
+def test_directed_flag_must_be_a_json_boolean(tmp_path, capsys):
+    obj = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"]]}
+    path, out = tmp_path / "aut.json", tmp_path / "evac.json"
+    for flag in ("false", 0, None):
+        path.write_text(json.dumps(dict(obj, directed=flag)))
+        assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, flag
+        assert capsys.readouterr().err.startswith("error: directed must be true or false")
+    path.write_text(json.dumps(dict(obj, directed=False)))
+    assert run(["evac", "--automaton", str(path), "--out", str(out)]) == EXIT_OK
+
+
+def test_negative_height_cap_in_count_mode(capsys):
+    for args in (["bb", "--n", "5", "--k", "-1"], ["sweep", "--k", "-1", "--n", "5"]):
+        assert run(args) == EXIT_VALIDATION, args
+        assert capsys.readouterr().err == "error: k must be nonnegative\n", args
+
+
 def test_missing_file_is_validation_error(tmp_path):
     code = run(["evac", "--automaton", str(tmp_path / "nope.json")])
     assert code == EXIT_VALIDATION

@@ -298,6 +298,47 @@ def test_relation_to_scheme_rejects_non_edge_pairs():
         relation_to_scheme(aut, [("v2", "v0")], sinks={"v2"})
 
 
+def test_relation_to_scheme_rejects_unknown_sink():
+    aut = path_automaton(3)
+    with pytest.raises(ValueError, match="'w9'"):
+        relation_to_scheme(aut, [("v1", "v0"), ("v2", "v1"), ("v2", "v1")],
+                           sinks={"v2", "w9"})
+
+
+def assert_relation_round_trip(aut, K):
+    """A solver scheme, turned into its relation and peeled again, is a valid
+    scheme whose K is the largest edge usage of the original."""
+    res = solve_with_constant(aut, K)
+    if not res.exists:
+        return False
+    back = relation_to_scheme(aut, scheme_to_relation(res.scheme).pairs)
+    validate_scheme(aut, back)
+    assert back.K == max(res.scheme.edge_usage().values(), default=1)
+    assert back.paths.keys() == res.scheme.paths.keys()
+    return True
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ball(3, make_alphabet("x0,x1")),
+    lambda: ball(2, make_alphabet("x1,xb1,x0,x0")),
+    lambda: bb_automaton(7, 3, make_alphabet("x0,x1")),
+    lambda: bb_automaton(6, 2, make_alphabet("x0,x1,xb1")),
+], ids=["ball3", "ball2-doubled-x0", "bb73", "bb62"])
+@pytest.mark.parametrize("K", [1, 2])
+def test_relation_round_trip(build, K):
+    assert assert_relation_round_trip(build(), K)
+
+
+def test_relation_round_trip_random_serre_graphs():
+    rng = random.Random(23)
+    solved = 0
+    for _ in range(200):
+        aut = random_serre_automaton(rng, rng.randint(2, 12), rng.randint(1, 3))
+        if any(aut.boundary_flags()):
+            solved += sum(assert_relation_round_trip(aut, K) for K in (1, 2))
+    assert solved > 100
+
+
 # ---------------------------------------------------------------------------
 # flow certificates
 
@@ -504,7 +545,12 @@ def test_scheme_obj_roundtrip(tmp_path):
 def test_malformed_scheme_files(tmp_path):
     for name, text in (("truncated.json", '{"K": 1, "paths":'),
                        ("paths.json", '{"K": 1, "paths": [1]}'),
-                       ("edge.json", '{"K": 1, "paths": {"u": [5]}}')):
+                       ("edge.json", '{"K": 1, "paths": {"u": [5]}}'),
+                       # K is a JSON integer >= 1, not a float, bool or string
+                       ("float_K.json", '{"K": 1.9, "paths": {"u": []}}'),
+                       ("bool_K.json", '{"K": true, "paths": {"u": []}}'),
+                       ("string_K.json", '{"K": "1", "paths": {"u": []}}'),
+                       ("zero_K.json", '{"K": 0, "paths": {"u": []}}')):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(AutomatonFormatError):
