@@ -521,12 +521,17 @@ def _write_list(fh, items) -> None:
     fh.write("[]" if sep[0] == "[" else "\n ]")
 
 
-def load_automaton(path) -> Automaton:
+def load_json(path):
+    """The JSON value in the file at `path`, the one reader of input files."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise AutomatonFormatError(f"not valid JSON: {exc}") from None
+
+
+def load_automaton(path) -> Automaton:
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise AutomatonFormatError("automaton file must hold a JSON object")
     return automaton_from_obj(obj)

@@ -19,6 +19,7 @@ from .cayley import (
     ball,
     boundary_report,
     load_automaton,
+    load_json,
     make_alphabet,
     report_csv_rows,
     save_automaton,
@@ -106,11 +107,13 @@ def _parse_int_list(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            lo, hi = part.split(":")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        ends = part.split(":")
+        if len(ends) > 2:
+            raise ValueError(f"range {part!r} has more than two ends")
+        lo, hi = int(ends[0]), int(ends[-1])
+        if lo > hi:
+            raise ValueError(f"range {part!r} runs backwards")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty integer list {text!r}")
     return out
@@ -192,9 +195,7 @@ def cmd_certify(args) -> int:
     from . import evac
 
     aut = load_automaton(args.automaton)
-    with open(args.cert) as fh:
-        cert_obj = json.load(fh)
-    cert = evac.certificate_from_obj(aut, cert_obj)
+    cert = evac.certificate_from_obj(aut, load_json(args.cert))
     verdict = evac.verify_flow_certificate(aut, cert)
     obj = {"command": "certify", "automaton": args.automaton,
            "cert": args.cert, "accepted": verdict.accepted,
@@ -222,10 +223,9 @@ def cmd_selftest(args) -> int:
     checks.append(("delta + iota = 2m", rep.density + rep.iota == 4))
     checks.append(("BB(2,1) count", counting.bb_count(2, 1) == 3
                    and len(forests.bb_automaton(2, 1, make_alphabet("x0,x1"))) == 3))
-    res = evac.solve_pure(b1)
-    checks.append(("ball(1) pure scheme", res.exists))
+    checks.append(("ball(1) pure scheme", evac.solve_with_constant(b1, 1).exists))
     chain = evac.blocked_chain_automaton()
-    checks.append(("chain blocked at K=1", not evac.solve_pure(chain).exists))
+    checks.append(("chain blocked at K=1", not evac.solve_with_constant(chain, 1).exists))
     checks.append(("chain solvable at K=2",
                    evac.solve_with_constant(chain, 2).exists))
     ok = True

@@ -224,6 +224,13 @@ def test_negative_height_cap_in_count_mode(capsys):
         assert capsys.readouterr().err == "error: k must be nonnegative\n", args
 
 
+def test_bad_integer_lists_are_usage_errors(capsys):
+    for k, message in (("1:2:3", "error: range '1:2:3' has more than two ends\n"),
+                       ("2,5:1", "error: range '5:1' runs backwards\n")):
+        assert run(["sweep", "--k", k, "--n", "5"]) == EXIT_VALIDATION, k
+        assert capsys.readouterr().err == message, k
+
+
 def test_missing_file_is_validation_error(tmp_path):
     code = run(["evac", "--automaton", str(tmp_path / "nope.json")])
     assert code == EXIT_VALIDATION
@@ -345,6 +352,12 @@ def test_malformed_certificate_files_exit_2(tmp_path, capsys):
         code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
         assert code == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+    # a file that is not JSON at all reads as an automaton file would
+    cert_path = tmp_path / "nope.json"
+    cert_path.write_text("{ nope")
+    code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_bb_count_mode_with_unbinding_height_cap(tmp_path):

@@ -1,10 +1,28 @@
 import random
 from fractions import Fraction
 
+import json
+
 import pytest
 
+from evac_ref import (
+    conjugate_relabel,
+    edge_usage,
+    hall_oracle,
+    label_use_counts,
+    relation_to_scheme,
+    scheme_to_relation,
+    validate_relabelled,
+)
 from fcayley import evac, fgroup
-from fcayley.cayley import Automaton, AutomatonFormatError, GenAlphabet, ball, make_alphabet
+from fcayley.cayley import (
+    Automaton,
+    AutomatonFormatError,
+    GenAlphabet,
+    ball,
+    load_json,
+    make_alphabet,
+)
 from fcayley.evac import (
     EvacScheme,
     NoEvacuationTarget,
@@ -12,15 +30,8 @@ from fcayley.evac import (
     blocked_chain_automaton,
     certificate_from_obj,
     cheeger_out,
-    conjugate_relabel,
-    hall_oracle,
-    label_use_counts,
-    relation_to_scheme,
     scheme_from_obj,
-    scheme_to_relation,
-    solve_pure,
     solve_with_constant,
-    validate_relabelled,
     validate_scheme,
     verify_flow_certificate,
 )
@@ -55,12 +66,12 @@ def random_serre_automaton(rng, n_vertices, m, keep=0.7):
 
 
 # ---------------------------------------------------------------------------
-# solve_pure / solve_with_constant
+# solve_with_constant
 
 
 def test_singleton_scheme():
     aut = abstract({"e": {"a": None, "a^-1": None}})
-    res = solve_pure(aut)
+    res = solve_with_constant(aut, 1)
     assert res.exists
     assert res.scheme.paths == {"e": ()}
     validate_scheme(aut, res.scheme)
@@ -68,7 +79,7 @@ def test_singleton_scheme():
 
 def test_ball1_scheme():
     aut = ball(1, make_alphabet("x0,x1"))
-    res = solve_pure(aut)
+    res = solve_with_constant(aut, 1)
     assert res.exists
     validate_scheme(aut, res.scheme)
     empty = [v for v, p in res.scheme.paths.items() if not p]
@@ -78,7 +89,7 @@ def test_ball1_scheme():
 
 def test_chain_counterexample():
     aut = blocked_chain_automaton()
-    res = solve_pure(aut)
+    res = solve_with_constant(aut, 1)
     assert not res.exists
     assert set(res.witness.Z) == {"u1", "u2", "u3"}
     assert res.witness.cheeger == 2
@@ -102,7 +113,7 @@ def test_monotone_in_K():
 
 def test_pure_scheme_valid_at_higher_K():
     aut = ball(1, make_alphabet("x0,x1"))
-    scheme = solve_pure(aut).scheme
+    scheme = solve_with_constant(aut, 1).scheme
     relaxed = EvacScheme(K=2, paths=scheme.paths)
     validate_scheme(aut, relaxed)
 
@@ -115,7 +126,7 @@ def test_no_boundary_raises():
     }
     aut = abstract(slots, symbols=("a", "b"))
     with pytest.raises(NoEvacuationTarget):
-        solve_pure(aut)
+        solve_with_constant(aut, 1)
     with pytest.raises(NoEvacuationTarget):
         hall_oracle(aut)
 
@@ -128,7 +139,7 @@ def test_disconnected_internal_component_blocks():
         "z": {"a": None, "a^-1": None, "b": None, "b^-1": None},
     }
     aut = abstract(slots, symbols=("a", "b"))
-    res = solve_pure(aut)
+    res = solve_with_constant(aut, 1)
     assert not res.exists
     assert set(res.witness.Z) == {"p", "q"}
     assert res.witness.cheeger == 0
@@ -159,7 +170,7 @@ def test_solver_oracle_agreement_randomized():
         internal = set(aut.keys) - set(aut.inner_boundary())
         if len(internal) > 14:
             continue
-        res = solve_pure(aut)
+        res = solve_with_constant(aut, 1)
         wit = hall_oracle(aut)
         assert res.exists == (wit is None)
         if res.exists:
@@ -242,7 +253,7 @@ def test_networkx_agrees_on_random_serre_graphs(networkx):
 
 def test_scheme_to_relation_empty():
     aut = abstract({"e": {"a": None, "a^-1": None}})
-    scheme = solve_pure(aut).scheme
+    scheme = solve_with_constant(aut, 1).scheme
     rel = scheme_to_relation(scheme)
     assert rel.pairs == ()
     assert rel.index == {"e": 0}
@@ -250,7 +261,7 @@ def test_scheme_to_relation_empty():
 
 def test_scheme_to_relation_ball1():
     aut = ball(1, make_alphabet("x0,x1"))
-    scheme = solve_pure(aut).scheme
+    scheme = solve_with_constant(aut, 1).scheme
     rel = scheme_to_relation(scheme)
     assert len(rel.pairs) == 1
     head, tail = rel.pairs[0]
@@ -274,7 +285,7 @@ def test_relation_to_scheme_nested_chain():
     pairs = [("v1", "v0"), ("v2", "v1"), ("v2", "v1"),
              ("v3", "v2"), ("v3", "v2"), ("v3", "v2")]
     scheme = relation_to_scheme(aut, pairs, sinks={"v3"})
-    usage = scheme.edge_usage()
+    usage = edge_usage(scheme)
     assert usage[("v0", "a", "v1")] == 1
     assert usage[("v1", "a", "v2")] == 2
     assert usage[("v2", "a", "v3")] == 3
@@ -313,7 +324,7 @@ def assert_relation_round_trip(aut, K):
         return False
     back = relation_to_scheme(aut, scheme_to_relation(res.scheme).pairs)
     validate_scheme(aut, back)
-    assert back.K == max(res.scheme.edge_usage().values(), default=1)
+    assert back.K == max(edge_usage(res.scheme).values(), default=1)
     assert back.paths.keys() == res.scheme.paths.keys()
     return True
 
@@ -394,7 +405,9 @@ def test_certificate_bound_violation():
     })
     verdict = verify_flow_certificate(aut, cert)
     assert not verdict.accepted
-    assert any("> C" in f for f in verdict.failures)
+    # each offending edge once, in the direction the file lists it
+    assert [f for f in verdict.failures if "> C" in f] == [
+        "|f| = 5 > C on edge ('v0', 'a', 'v1')", "|f| = 4 > C on edge ('v1', 'a', 'v2')"]
 
 
 def test_certificate_flow_on_non_edge():
@@ -463,7 +476,7 @@ def test_relabel_single_x1_edge():
 
 def test_relabel_conservation_counts():
     aut = bb_automaton(5, 2, make_alphabet("x0,x1,x2"))
-    res = solve_pure(aut)
+    res = solve_with_constant(aut, 1)
     assert res.exists
     before = label_use_counts(res.scheme)
     out = conjugate_relabel(res.scheme, aut)
@@ -532,29 +545,31 @@ def test_validate_scheme_inverse_exclusion():
         validate_scheme(aut, EvacScheme(K=1, paths=paths))
 
 
-def test_scheme_obj_roundtrip(tmp_path):
+def test_scheme_obj_roundtrip():
     aut = ball(1, make_alphabet("x0,x1"))
-    scheme = solve_pure(aut).scheme
+    scheme = solve_with_constant(aut, 1).scheme
     again = scheme_from_obj(scheme.as_obj())
     assert again == scheme
-    path = tmp_path / "scheme.json"
-    evac.save_scheme(scheme, path)
-    assert evac.load_scheme(path) == scheme
+    assert scheme_from_obj(json.loads(json.dumps(scheme.as_obj()))) == scheme
 
 
-def test_malformed_scheme_files(tmp_path):
-    for name, text in (("truncated.json", '{"K": 1, "paths":'),
-                       ("paths.json", '{"K": 1, "paths": [1]}'),
-                       ("edge.json", '{"K": 1, "paths": {"u": [5]}}'),
-                       # K is a JSON integer >= 1, not a float, bool or string
-                       ("float_K.json", '{"K": 1.9, "paths": {"u": []}}'),
-                       ("bool_K.json", '{"K": true, "paths": {"u": []}}'),
-                       ("string_K.json", '{"K": "1", "paths": {"u": []}}'),
-                       ("zero_K.json", '{"K": 0, "paths": {"u": []}}')):
-        path = tmp_path / name
-        path.write_text(text)
+def test_malformed_scheme_files():
+    for text in ('{"K": 1, "paths": [1]}',
+                 '{"K": 1, "paths": {"u": [5]}}',
+                 # K is a JSON integer >= 1, not a float, bool or string
+                 '{"K": 1.9, "paths": {"u": []}}',
+                 '{"K": true, "paths": {"u": []}}',
+                 '{"K": "1", "paths": {"u": []}}',
+                 '{"K": 0, "paths": {"u": []}}'):
         with pytest.raises(AutomatonFormatError):
-            evac.load_scheme(path)
+            scheme_from_obj(json.loads(text))
+
+
+def test_truncated_json_file(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"K": 1, "paths":')
+    with pytest.raises(AutomatonFormatError, match="^not valid JSON: "):
+        load_json(path)
 
 
 def test_solver_checks_its_witness(monkeypatch):

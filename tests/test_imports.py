@@ -20,14 +20,23 @@ SRC = str(Path(fcayley.__file__).resolve().parent.parent)
 TINY_AUTOMATON = {"format": "fcayley-automaton", "alphabet": ["a"], "values": None,
                   "vertices": ["u", "v", "w"], "edges": [["u", "a", "v"], ["v", "a", "w"]]}
 
+# an accepted certificate for it (certify exits 3 on a rejected one)
+TINY_CERTIFICATE = {"C": "2", "eps": "1", "flow": [["u", "a", "v", "1"]],
+                    "boundary_inflows": {"u": "2", "w": "1"}}
+
 # (arguments, modules that must load, modules that must not)
 COMMANDS = {
     "help": (["--help"], {"fcayley.cli"},
              {"fcayley.counting", "fcayley.evac", "fcayley.forests"}),
     "evac": (["evac", "--automaton", "tiny.json", "--no-timestamp"], {"fcayley.evac"},
              {"fcayley.counting", "fcayley.forests", "fractions", "decimal"}),
+    "certify": (["certify", "--automaton", "tiny.json", "--cert", "cert.json",
+                 "--no-timestamp"], {"fcayley.evac"},
+                {"fcayley.counting", "fcayley.forests"}),
     "ball": (["ball", "--r", "1", "--no-timestamp"], {"fcayley.cayley"},
              {"fcayley.evac", "fcayley.counting"}),
+    "bb-enumerate": (["bb", "--n", "3", "--k", "1", "--mode", "enumerate", "--no-timestamp"],
+                     {"fcayley.forests", "fcayley.counting"}, {"fcayley.evac"}),
     "sweep": (["sweep", "--k", "2", "--n", "3", "--no-timestamp"], {"fcayley.counting"},
               {"fcayley.evac", "fcayley.forests"}),
 }
@@ -46,6 +55,7 @@ def imported_modules(args, cwd) -> set[str]:
 @pytest.mark.parametrize("name", COMMANDS)
 def test_subcommand_imports_only_what_it_runs(tmp_path, name):
     (tmp_path / "tiny.json").write_text(json.dumps(TINY_AUTOMATON))
+    (tmp_path / "cert.json").write_text(json.dumps(TINY_CERTIFICATE))
     args, needed, excluded = COMMANDS[name]
     modules = imported_modules(args, tmp_path)
     assert needed <= modules
