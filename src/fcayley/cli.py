@@ -101,7 +101,7 @@ def cmd_bb(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, option: str) -> list[int]:
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -110,7 +110,10 @@ def _parse_int_list(text: str) -> list[int]:
         ends = part.split(":")
         if len(ends) > 2:
             raise ValueError(f"range {part!r} has more than two ends")
-        lo, hi = int(ends[0]), int(ends[-1])
+        try:
+            lo, hi = int(ends[0]), int(ends[-1])
+        except ValueError:
+            raise ValueError(f"{option}: {part!r} is not an integer or a range lo:hi") from None
         if lo > hi:
             raise ValueError(f"range {part!r} runs backwards")
         out.extend(range(lo, hi + 1))
@@ -159,8 +162,8 @@ def _sweep_csv(records, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    k_values = _parse_int_list(args.k)
-    n_values = _parse_int_list(args.n)
+    k_values = _parse_int_list(args.k, "--k")
+    n_values = _parse_int_list(args.n, "--n")
     specs = [s.strip() for s in args.alphabets.split(";") if s.strip()]
     if not specs:
         raise ValueError("no alphabets given")

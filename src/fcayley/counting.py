@@ -22,16 +22,21 @@ adjacent trees of height < k), so h F = F - 1 - x F:
 
 As h = f - x, [x^n] h S = M[n] - S[n-1]: nu(a) = nu(a^-1) on DP rows is an
 identity of the DP, not a check of it; the tests check the counts against
-enumeration and full-array reference series.  A table costs O(n min(n, 2^k))
-big-integer products (a tree of height k has at most 2^k leaves) and a count
-O(n).  Ratios are exact Fractions; decimals appear only in rendered output.
+enumeration and full-array reference series.  A table with 2^k <= max(4 n_max,
+n_max^2/128) runs the squaring circuit of f_j S = x S + f_(j-1) (f_(j-1) S),
+f_0 = x: a binary tree of 2^k delays, each fed its parent's input or its left
+sibling's output, and 2^k - 1 big-integer additions per coefficient.  Above
+that cap it convolves with f_(k-1) (at most 2^(k-1) leaves), O(n min(n, 2^k))
+products in all; n^2/128 is the measured crossover, and 4 n keeps a table that
+doubles from a few hundred leaves in the circuit.  A count costs O(n); ratios
+are exact Fractions, and decimals appear only in rendered output.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .cayley import INV, base_symbol, decimal_str
 
@@ -73,19 +78,38 @@ class CountTable:
             raise ValueError("k must be nonnegative")
         self.k, self.F, self.G = k, [1], [0]
         self._S: dict[int, int] = {}  # S[m] read so far; growing keeps them
+        self._R: list[int] | None = None  # circuit registers after F[-1]
         self.grow(n_max)
 
     def grow(self, n_max: int) -> None:
         """Extend F and G to n_max leaves, keeping the prefix built so far."""
-        # f_(k-1) (f_(-1) = 0) up to its degree 2^(k-1); caps above n_max cannot bind
-        k = min(self.k, n_max + 1)
-        lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k else [0]
-        F, G = self.F, self.G
-        T = [0] + list(map(sub, F[1:], G[1:]))  # T = f_(k-1) F = F - 1 - G
-        for n in range(len(F), n_max + 1):
-            T.append(_coef(lower, F, n))
-            F.append(F[n - 1] + _coef(lower, T, n))
-            G.append(F[n] - T[n])
+        F, G, k = self.F, self.G, self.k
+        n_max = max(n_max, len(F) - 1)
+        if k < max(4 * n_max, n_max * n_max >> 7).bit_length():  # 2^k <= max(4n, n^2/128)
+            if self._R is None:  # the registers start at n = 0
+                del F[1:], G[1:]
+                self._R = [1] + [0] * ((1 << k) - 1)
+            R = self._R
+            for _ in range(len(F), n_max + 1):
+                nxt, out, h = [0] * len(R), R, len(R)
+                while h > 1:  # out_j = R[:h] + out_(j-1)[h:] entry by entry, h = 2^(k-j)
+                    h >>= 1
+                    nxt[h:2 * h] = out[:h]  # the next registers hold first halves
+                    out = list(map(add, R[:h], out[h:]))
+                nxt[0] = out[0]  # f_k F; T = f_(k-1) F is out_(k-1)[0] = nxt[1]
+                F.append(out[0])
+                G.append(out[0] - nxt[1] if k else out[0])
+                R = nxt
+            self._R = R
+        else:
+            # f_(k-1) (f_(-1) = 0) up to its degree 2^(k-1); caps above n_max cannot bind
+            k = min(k, n_max + 1)
+            lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k else [0]
+            T = [0] + list(map(sub, F[1:], G[1:]))  # T = f_(k-1) F = F - 1 - G
+            for n in range(len(F), n_max + 1):
+                T.append(_coef(lower, F, n))
+                F.append(F[n - 1] + _coef(lower, T, n))
+                G.append(F[n] - T[n])
         self.n_max = len(F) - 1
 
     def S(self, m: int) -> int:

@@ -225,9 +225,13 @@ def test_negative_height_cap_in_count_mode(capsys):
 
 
 def test_bad_integer_lists_are_usage_errors(capsys):
-    for k, message in (("1:2:3", "error: range '1:2:3' has more than two ends\n"),
-                       ("2,5:1", "error: range '5:1' runs backwards\n")):
-        assert run(["sweep", "--k", k, "--n", "5"]) == EXIT_VALIDATION, k
+    for k, n, message in (
+            ("1:2:3", "5", "error: range '1:2:3' has more than two ends\n"),
+            ("2,5:1", "5", "error: range '5:1' runs backwards\n"),
+            ("x", "5", "error: --k: 'x' is not an integer or a range lo:hi\n"),
+            ("2", "1,3:", "error: --n: '3:' is not an integer or a range lo:hi\n"),
+            (":5", "5", "error: --k: ':5' is not an integer or a range lo:hi\n")):
+        assert run(["sweep", "--k", k, "--n", n]) == EXIT_VALIDATION, k
         assert capsys.readouterr().err == message, k
 
 
@@ -382,6 +386,23 @@ def test_bb_count_mode_with_unbinding_height_cap(tmp_path):
     assert all(rec == records[0] for rec in records)
 
 
+def test_bb_count_mode_above_the_circuit_cap_makes_no_register_list(tmp_path, monkeypatch):
+    import tracemalloc
+
+    from fcayley import counting
+
+    monkeypatch.setattr(counting, "_tables", {})
+    tracemalloc.start()
+    try:
+        assert run(["bb", "--n", "900", "--k", "20", "--mode", "count",
+                    "--out", str(tmp_path / "rec.json"), "--no-timestamp"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^20 > 900^2 / 128, so the table convolves; 2^20 registers would take 8 MiB
+    assert peak < 4 * 2 ** 20, peak
+
+
 def test_bb_count_mode_with_unbinding_cap_is_fast(tmp_path, monkeypatch):
     import time
 
@@ -526,3 +547,14 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
                 "--format", "csv", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "4957b4096e6c055459f3da8e64ce5c586b61288975f1c4ac1d63159fe8e8e570")
+
+
+def test_sweep_csv_bytes_at_bench_sizes_are_pinned(tmp_path):
+    # sha256 of a sweep across the regimes of the count tables: caps 7-10 run the
+    # squaring circuit from n = 300, 11 and 12 switch to it at 900, 13 convolves
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--k", "7:13", "--n", "300,900",
+                "--alphabets", "x0,x1;x1,xb1,x0,x0,x2",
+                "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9b28df149835ed85c8d97e155db6ef1ae8d6412ea2949124282370b4681aa41e")

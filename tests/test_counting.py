@@ -142,6 +142,33 @@ def _reference(k, N):
     return F, S, M, ax1, ax2, y0
 
 
+def _reference_F_G(k, N):
+    """F and G = (f_k - f_(k-1)) F from the full-array reference, up to x^N."""
+    F = _reference(k, N)[0]
+    g = [a - b for a, b in zip(_reference_trees(k, N), _reference_trees(k - 1, N))]
+    return F, _conv(g, F, N)
+
+
+def test_tables_of_both_regimes_match_full_array_reference():
+    # up to N = 160 the squaring circuit runs for k <= 9 and the convolution above
+    for k in range(0, 13):
+        F, G = _reference_F_G(k, 160)
+        for N in (1, 2, 12, 40, 90, 159, 160):
+            t = CountTable(k, N)
+            assert (t.F, t.G) == (F[:N + 1], G[:N + 1]), (k, N)
+
+
+def test_table_growing_into_the_circuit_keeps_its_lists():
+    # k = 9 convolves up to 40 leaves and rebuilds its registers at 400
+    t = CountTable(9, 5)
+    F, G = t.F, t.G
+    for n_max in (40, 400):
+        t.grow(n_max)
+    assert t.F is F and t.G is G and t.n_max == 400
+    fresh = CountTable(9, 400)
+    assert (F, G) == (fresh.F, fresh.G) == _reference_F_G(9, 400)
+
+
 def test_counts_match_full_array_reference():
     N = 120
     for k in range(0, 9):
@@ -271,7 +298,7 @@ def test_table_cache_growth():
 
 
 def test_regrown_table_equals_fresh_table():
-    for k in (0, 1, 3, 6, 50):
+    for k in (0, 1, 3, 6, 8, 10, 50):
         t = CountTable(k, 1)
         for n_max in (2, 5, 37, 100):
             t.grow(n_max)
