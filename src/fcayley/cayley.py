@@ -526,7 +526,7 @@ def load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise AutomatonFormatError(f"not valid JSON: {exc}") from None
 
 

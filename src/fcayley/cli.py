@@ -49,10 +49,13 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
         sys.stdout.write(text)
 
 
+def _check_report_format(args) -> None:
+    if args.format == "csv" and not args.report:
+        raise ValueError("--format csv needs --report")
+
+
 def _emit_report(rep, obj: dict, args) -> None:
     if args.format == "csv":
-        if not args.report:
-            raise ValueError("--format csv needs --report")
         import csv
 
         with open(args.report, "w", newline="") as fh:
@@ -64,6 +67,7 @@ def _emit_report(rep, obj: dict, args) -> None:
 
 
 def cmd_ball(args) -> int:
+    _check_report_format(args)
     alphabet = make_alphabet(args.alphabet)
     aut = ball(args.r, alphabet)
     if args.out:
@@ -88,6 +92,7 @@ def cmd_bb(args) -> int:
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
         return EXIT_OK
+    _check_report_format(args)
     from . import forests
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
@@ -142,6 +147,7 @@ def _sweep_k(job):
 
     k, n_values, specs = job
     symbols = [make_alphabet(spec, with_values=False).symbols for spec in specs]
+    counting.table(k, max(n_values))  # one table per cap, built for the largest n
     return [counting.density_report(n, k, syms) for n in n_values for syms in symbols]
 
 
@@ -167,10 +173,10 @@ def cmd_sweep(args) -> int:
     specs = [s.strip() for s in args.alphabets.split(";") if s.strip()]
     if not specs:
         raise ValueError("no alphabets given")
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out")
     records = sweep_records(k_values, n_values, specs, threads=args.threads)
     if args.format == "csv":
-        if not args.out:
-            raise ValueError("--format csv needs --out")
         _sweep_csv(records, args.out)
     else:
         _write_json({"command": "sweep",

@@ -22,14 +22,15 @@ adjacent trees of height < k), so h F = F - 1 - x F:
 
 As h = f - x, [x^n] h S = M[n] - S[n-1]: nu(a) = nu(a^-1) on DP rows is an
 identity of the DP, not a check of it; the tests check the counts against
-enumeration and full-array reference series.  A table with 2^k <= max(4 n_max,
-n_max^2/128) runs the squaring circuit of f_j S = x S + f_(j-1) (f_(j-1) S),
-f_0 = x: a binary tree of 2^k delays, each fed its parent's input or its left
-sibling's output, and 2^k - 1 big-integer additions per coefficient.  Above
-that cap it convolves with f_(k-1) (at most 2^(k-1) leaves), O(n min(n, 2^k))
-products in all; n^2/128 is the measured crossover, and 4 n keeps a table that
-doubles from a few hundred leaves in the circuit.  A count costs O(n); ratios
-are exact Fractions, and decimals appear only in rendered output.
+enumeration and full-array reference series.  A table is built once, up to
+its n_max; the shared cache rebuilds it, never grows it, when n outgrows it.
+A table with 2^k <= n_max^2/128, the measured crossover, runs the squaring
+circuit of f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k
+delays, each fed its parent's input or its left sibling's output, and
+2^k - 1 big-integer additions per coefficient; its registers live only while
+the table is built.  Above that cap it convolves with f_(k-1) (at most
+2^(k-1) leaves), O(n min(n, 2^k)) products in all.  A count costs O(n);
+ratios are exact Fractions, and decimals appear only in rendered output.
 """
 
 from __future__ import annotations
@@ -77,19 +78,10 @@ class CountTable:
         if k < 0:
             raise ValueError("k must be nonnegative")
         self.k, self.F, self.G = k, [1], [0]
-        self._S: dict[int, int] = {}  # S[m] read so far; growing keeps them
-        self._R: list[int] | None = None  # circuit registers after F[-1]
-        self.grow(n_max)
-
-    def grow(self, n_max: int) -> None:
-        """Extend F and G to n_max leaves, keeping the prefix built so far."""
-        F, G, k = self.F, self.G, self.k
-        n_max = max(n_max, len(F) - 1)
-        if k < max(4 * n_max, n_max * n_max >> 7).bit_length():  # 2^k <= max(4n, n^2/128)
-            if self._R is None:  # the registers start at n = 0
-                del F[1:], G[1:]
-                self._R = [1] + [0] * ((1 << k) - 1)
-            R = self._R
+        self._S: dict[int, int] = {}  # S[m] read so far
+        F, G = self.F, self.G
+        if k < (n_max * n_max >> 7).bit_length():  # 2^k <= n_max^2/128
+            R = [1] + [0] * ((1 << k) - 1)  # circuit registers, the inputs of the delays
             for _ in range(len(F), n_max + 1):
                 nxt, out, h = [0] * len(R), R, len(R)
                 while h > 1:  # out_j = R[:h] + out_(j-1)[h:] entry by entry, h = 2^(k-j)
@@ -100,12 +92,11 @@ class CountTable:
                 F.append(out[0])
                 G.append(out[0] - nxt[1] if k else out[0])
                 R = nxt
-            self._R = R
         else:
             # f_(k-1) (f_(-1) = 0) up to its degree 2^(k-1); caps above n_max cannot bind
             k = min(k, n_max + 1)
             lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k else [0]
-            T = [0] + list(map(sub, F[1:], G[1:]))  # T = f_(k-1) F = F - 1 - G
+            T = [0]  # T = f_(k-1) F
             for n in range(len(F), n_max + 1):
                 T.append(_coef(lower, F, n))
                 F.append(F[n - 1] + _coef(lower, T, n))
@@ -128,11 +119,13 @@ _tables: dict[int, CountTable] = {}  # least recently used first
 
 
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap, grown to at least twice its leaf
-    budget when n outgrows it."""
-    t = _tables.pop(k, None) or CountTable(k, 0)
-    if t.n_max < n:
-        t.grow(max(n, 2 * t.n_max))
+    """Shared table for a height cap and n >= 1 leaves, rebuilt at
+    max(n, 2 n_max) when n outgrows it."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    t = _tables.pop(k, None)
+    if t is None or t.n_max < n:
+        t = CountTable(k, max(n, 2 * t.n_max) if t else n)
     _tables[k] = t
     if len(_tables) > TABLES_KEPT:
         del _tables[next(iter(_tables))]
@@ -141,8 +134,6 @@ def table(k: int, n: int) -> CountTable:
 
 def bb_count(n: int, k: int) -> int:
     """|BB(n, k)| as an exact integer."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return table(k, n).marked(n)
 
 
@@ -166,8 +157,6 @@ def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     Each count follows the acceptance rule of its own letter; as h = f - x,
     the counts of a and a^-1 agree by an identity of the DP.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     t = table(k, n)
     F, S1, M = t.F, t.S(n - 1), t.marked(n)
     hF = list(map(sub, F[1:n + 1], F[:n]))  # (hF)[1..n], h F = F - 1 - x F

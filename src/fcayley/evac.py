@@ -256,10 +256,12 @@ CertificateVerdict = namedtuple("CertificateVerdict",
 
 
 def _fraction(x) -> Fraction:
-    """A rational from a JSON string ("1/3", "0.5") or integer, never a float."""
+    """A rational from a JSON string ("1/3", "0.5") or integer, never a float
+    and never exponent notation, as "1e100000000" would expand to 10^100000000."""
     from fractions import Fraction
 
-    if type(x) in (str, int):  # a bool is not an int here
+    # a bool is not an int here
+    if type(x) is int or (type(x) is str and "e" not in x.lower()):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import os
+import time
 
 import pytest
 
@@ -235,6 +237,46 @@ def test_bad_integer_lists_are_usage_errors(capsys):
         assert capsys.readouterr().err == message, k
 
 
+def test_n_below_one_is_usage_error(capsys):
+    for args in (["sweep", "--k", "3", "--n", "0"], ["sweep", "--k", "3", "--n=-3"],
+                 ["bb", "--mode", "count", "--n", "0", "--k", "3"]):
+        assert run(args) == EXIT_VALIDATION, args
+        assert capsys.readouterr().err == "error: n must be positive\n", args
+
+
+def test_csv_usage_errors_come_before_any_work(tmp_path, monkeypatch, capsys):
+    from fcayley import counting
+
+    tables = []
+    monkeypatch.setattr(counting, "table", lambda k, n: tables.append((k, n)))
+    out = tmp_path / "a.json"
+    for args, message in (
+            (["ball", "--r", "2", "--out", str(out)], "--format csv needs --report"),
+            (["bb", "--mode", "enumerate", "--n", "4", "--k", "2", "--out", str(out)],
+             "--format csv needs --report"),
+            (["sweep", "--k", "2", "--n", "5"], "--format csv needs --out")):
+        assert run(args + ["--format", "csv"]) == EXIT_VALIDATION, args[0]
+        assert capsys.readouterr().err == f"error: {message}\n", args[0]
+        assert not out.exists() and tables == [], args[0]
+
+
+def test_sweep_builds_one_table_per_cap(monkeypatch):
+    from fcayley import counting
+
+    built = []  # (k, n_max) of each table the sweep constructs
+
+    class Spy(counting.CountTable):
+        def __init__(self, k, n_max):
+            built.append((k, n_max))
+            super().__init__(k, n_max)
+
+    monkeypatch.setattr(counting, "_tables", {})
+    monkeypatch.setattr(counting, "CountTable", Spy)
+    assert run(["sweep", "--k", "0:6", "--n", "1:40,300",
+                "--out", os.devnull]) == EXIT_OK
+    assert built == [(k, 300) for k in range(7)]
+
+
 def test_missing_file_is_validation_error(tmp_path):
     code = run(["evac", "--automaton", str(tmp_path / "nope.json")])
     assert code == EXIT_VALIDATION
@@ -356,12 +398,29 @@ def test_malformed_certificate_files_exit_2(tmp_path, capsys):
         code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
         assert code == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+    # exponent notation is refused before Fraction expands 10^100000000
+    cert_path = tmp_path / "exponent.json"
+    cert_path.write_text('{"C":"1","eps":"1e100000000","flow":[],"boundary_inflows":{}}')
+    start = time.perf_counter()
+    code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
+    assert code == EXIT_VALIDATION and time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: bad rational value '1e100000000'\n"
     # a file that is not JSON at all reads as an automaton file would
     cert_path = tmp_path / "nope.json"
     cert_path.write_text("{ nope")
     code = run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+
+
+def test_deeply_nested_json_is_not_valid_json(tmp_path, capsys):
+    aut_path, deep = tmp_path / "chain.json", tmp_path / "deep.json"
+    save_automaton(evac.blocked_chain_automaton(), aut_path)
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for args in (["evac", "--automaton", str(deep)],
+                 ["certify", "--automaton", str(aut_path), "--cert", str(deep)]):
+        assert run(args) == EXIT_VALIDATION, args[0]
+        assert capsys.readouterr().err.startswith("error: not valid JSON: "), args[0]
 
 
 def test_bb_count_mode_with_unbinding_height_cap(tmp_path):

@@ -158,15 +158,33 @@ def test_tables_of_both_regimes_match_full_array_reference():
             assert (t.F, t.G) == (F[:N + 1], G[:N + 1]), (k, N)
 
 
-def test_table_growing_into_the_circuit_keeps_its_lists():
-    # k = 9 convolves up to 40 leaves and rebuilds its registers at 400
-    t = CountTable(9, 5)
-    F, G = t.F, t.G
-    for n_max in (40, 400):
-        t.grow(n_max)
-    assert t.F is F and t.G is G and t.n_max == 400
-    fresh = CountTable(9, 400)
-    assert (F, G) == (fresh.F, fresh.G) == _reference_F_G(9, 400)
+def test_regime_rule_is_the_measured_crossover(monkeypatch):
+    import tracemalloc
+
+    convolved = []  # caps whose table convolved with the trees of lower height
+    trees = counting.tree_counts
+    monkeypatch.setattr(counting, "tree_counts",
+                        lambda k, n: convolved.append(k + 1) or trees(k, n))
+    # 2^10 <= 363^2 / 128 = 1029.4, but 2^10 > 362^2 / 128 = 1023.8 and 300^2 / 128
+    for k, n_max in ((10, 363), (10, 362), (10, 300), (9, 300), (1, 16), (1, 15)):
+        CountTable(k, n_max)
+    assert convolved == [10, 10, 1]
+    tracemalloc.start()
+    try:
+        CountTable(10 ** 9, 60)  # the cap cannot bind; 2^k would take 125 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 and convolved[-1] == 61
+
+
+def test_cached_tables_hold_only_their_series(monkeypatch):
+    monkeypatch.setattr(counting, "_tables", {})
+    for k in (10, 11, 12):  # all three run the circuit at 900 leaves
+        counting.table(k, 900)
+    for k, t in counting._tables.items():
+        lists = [v for v in vars(t).values() if isinstance(v, list)]
+        assert len(lists) == 2 and all(len(v) == t.n_max + 1 == 901 for v in lists), k
 
 
 def test_counts_match_full_array_reference():
@@ -297,14 +315,16 @@ def test_table_cache_growth():
     assert counting.table(1, 400) is t2  # no rebuild below the budget
 
 
-def test_regrown_table_equals_fresh_table():
+def test_rebuilt_table_equals_fresh_table(monkeypatch):
+    monkeypatch.setattr(counting, "_tables", {})
     for k in (0, 1, 3, 6, 8, 10, 50):
-        t = CountTable(k, 1)
-        for n_max in (2, 5, 37, 100):
-            t.grow(n_max)
+        old = counting.table(k, 1)
+        for n_max in (2, 5, 37, 100):  # each at least twice the last, so built at n_max
+            t = counting.table(k, n_max)
             fresh = CountTable(k, n_max)
-            assert t.n_max == fresh.n_max == n_max
+            assert t is not old and t.n_max == fresh.n_max == n_max
             assert (t.F, t.G) == (fresh.F, fresh.G), (k, n_max)
+            old = t
 
 
 def test_table_cache_is_bounded():

@@ -572,6 +572,14 @@ def test_truncated_json_file(tmp_path):
         load_json(path)
 
 
+def test_certificate_rationals_refuse_exponent_notation():
+    read = [evac._fraction(x) for x in ("1/3", "0.5", "-2", 7)]
+    assert read == [Fraction(1, 3), Fraction(1, 2), -2, 7]
+    for bad in ("1e5", "2E-3", "1/1e9", 0.5, True, "x"):
+        with pytest.raises(AutomatonFormatError, match="^bad rational value "):
+            evac._fraction(bad)
+
+
 def test_solver_checks_its_witness(monkeypatch):
     # a set emitting |Z| edges fails K * cheeger < |Z| at K = 1
     monkeypatch.setattr(evac, "cheeger_out", lambda aut, zset: len(zset))
