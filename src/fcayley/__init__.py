@@ -2,11 +2,11 @@
 
 Modules:
   fgroup    reduced tree pairs as leaf-depth sequences, key parser and encoder,
-            presentations, automorphism checks
-  cayley    finite Cayley subgraphs (automata), boundary/density reports, files
+            generators, the order-2 automorphism checked on elements
+  cayley    finite Cayley subgraphs (automata), balls, boundary/density reports, files
   forests   Brown-Belk sets BB(n, k) and the partial generator actions on them
-  counting  big-integer DP for |BB|, per-letter boundary counts, xi and trimming
-  evac      evacuation-scheme solver, Hall oracle, flow certificates, relabelling
+  counting  big-integer DP for |BB|, per-letter boundary counts, Y0, p and xi
+  evac      evacuation-scheme solver, Hall witnesses, flow certificates
   cli       batch command-line front end
 
 Importing the package loads none of them: import a submodule by name

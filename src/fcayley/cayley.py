@@ -37,10 +37,6 @@ INV = "^-1"
 DEFAULT_BUDGET = 10_000_000
 
 
-def letter_inverse(letter: str) -> str:
-    return letter[: -len(INV)] if letter.endswith(INV) else letter + INV
-
-
 def letter_symbol(letter: str) -> str:
     return letter[: -len(INV)] if letter.endswith(INV) else letter
 
@@ -112,7 +108,7 @@ class GenAlphabet:
         return f"GenAlphabet({self.spec()!r})"
 
 
-def make_alphabet(spec: str, with_values: bool = True) -> GenAlphabet:
+def make_alphabet(spec: str) -> GenAlphabet:
     """Parse a comma-separated alphabet spec, e.g. "x1,xb1,x0,x0".
 
     Repeated tokens become distinct symbols with @2, @3, ... suffixes, all
@@ -132,37 +128,16 @@ def make_alphabet(spec: str, with_values: bool = True) -> GenAlphabet:
         sym = tok if seen[tok] == 1 else f"{tok}@{seen[tok]}"
         symbols.append(sym)
         values[sym] = BASE_VALUES[tok]
-    return GenAlphabet(symbols, values if with_values else None)
+    return GenAlphabet(symbols, values)
 
 
 class Automaton:
     """Immutable labelled Serre graph on the vertex core `keys`, `tgt`."""
 
-    def __init__(self, alphabet: GenAlphabet,
-                 slots: dict[str, dict[str, str | None]],
+    def __init__(self, alphabet: GenAlphabet, keys: list[str], tgt: array,
                  outer: frozenset[str] | None = None):
-        """Automaton from rows letter -> target key or None, one per vertex."""
-        letters = alphabet.letters()
-        index = {v: i for i, v in enumerate(slots)}
-        for v, row in slots.items():
-            if row.keys() != set(letters):
-                raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
-            for a, w in row.items():
-                if w is not None and w not in index:
-                    raise AutomatonFormatError(f"edge ({v!r}, {a!r}) targets unknown vertex {w!r}")
-        tgt = array("i", [index.get(row[a], -1) for row in slots.values() for a in letters])
-        self._set_core(alphabet, list(slots), tgt, outer)
-
-    @classmethod
-    def from_targets(cls, alphabet: GenAlphabet, keys: list[str], tgt: array,
-                     outer: frozenset[str] | None = None) -> "Automaton":
         """Automaton from distinct keys in any order and their target rows
         (`tgt` as in the module docstring, indexed by position in `keys`)."""
-        aut = cls.__new__(cls)
-        aut._set_core(alphabet, keys, tgt, outer)
-        return aut
-
-    def _set_core(self, alphabet, keys, tgt, outer) -> None:
         if not keys:
             raise ValueError("automaton must be nonempty")
         d = 2 * alphabet.m
@@ -218,10 +193,6 @@ class Automaton:
     def __len__(self):
         return len(self.keys)
 
-    def accepts(self, v: str, letter: str) -> bool:
-        letters = self.alphabet.letters()
-        return self.tgt[self.index[v] * len(letters) + letters.index(letter)] >= 0
-
     def boundary_flags(self) -> list[bool]:
         """Per vertex number, whether it has a boundary slot."""
         tgt, d = self.tgt, 2 * self.alphabet.m
@@ -236,10 +207,6 @@ class Automaton:
         keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
         return [(keys[e // d], letters[e % d], keys[w]) for e, w in enumerate(self.tgt) if w >= 0]
 
-    def geometric_edges(self) -> list[tuple[str, str, str]]:
-        """One triple per inverse pair, with a positive letter."""
-        return [(v, a, w) for v, a, w in self.directed_edges() if not a.endswith(INV)]
-
     def sorted_edges(self):
         """Geometric edges as (source, letter, target) numbers, ordered as
         their key triples: keys are sorted and a slot has one target."""
@@ -250,18 +217,6 @@ class Automaton:
                 w = tgt[v * d + j]
                 if w >= 0:
                     yield v, j, w
-
-    def restrict(self, keys) -> "Automaton":
-        """Induced sub-automaton on a subset of vertices (ambient info dropped)."""
-        index, d, keep = self.index, 2 * self.alphabet.m, set(keys)
-        if unknown := sorted(keep - index.keys()):
-            raise ValueError(f"keys not in automaton: {unknown[:3]}")
-        rows = sorted(map(index.__getitem__, keep))  # kept vertices, in key order
-        new = [-1] * (len(self.keys) + 1)  # new number of each old one; new[-1] = -1
-        for r, i in enumerate(rows):
-            new[i] = r
-        tgt = array("i", [new[w] for i in rows for w in self.tgt[i * d:i * d + d]])
-        return Automaton.from_targets(self.alphabet, [self.keys[i] for i in rows], tgt)
 
 
 class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_boundary "
@@ -342,41 +297,23 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 
 
 def ball(r: int, alphabet: GenAlphabet) -> Automaton:
-    """Ball of radius r around the identity, as an automaton with ambient data."""
+    """Ball of radius r around the identity, as an automaton with ambient data.
+
+    Slots g -> g*a: each of r + 1 rounds multiplies the elements the round
+    before found (the first, the identity).  Multiplied elements are the
+    vertices, the last round's new products are outer; elements are kept as
+    reduced depth pairs, numbered as found, and their keys rendered at the end.
+    """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
-    return _cayley_automaton([fgroup.IDENTITY], alphabet, r + 1)
-
-
-def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
-    """Automaton induced by explicit element keys (decoded as reduced pairs)."""
-    if not alphabet.has_values():
-        raise ValueError("induced subgraph needs an alphabet with group values")
-    elements = {}
-    for key in keys:
-        g = element_from_key(key)
-        if g.key != key:
-            raise ValueError(f"key {key!r} is not a reduced pair (canonical: {g.key!r})")
-        elements[key] = g
-    if not elements:
-        raise ValueError("empty vertex set")
-    return _cayley_automaton(list(elements.values()), alphabet, 1)
-
-
-def _cayley_automaton(elements: list[FElement], alphabet: GenAlphabet,
-                      rounds: int) -> Automaton:
-    """Slots g -> g*a: each round multiplies the elements the round before
-    found (the first, the given ones).  Multiplied elements are the vertices,
-    the last round's new products are outer; elements are kept as reduced
-    depth pairs, numbered as found, and their keys rendered at the end."""
     values = [(v.dd, v.rd) for v in map(alphabet.value, alphabet.letters())]
-    pairs = [(g.dd, g.rd) for g in elements]
-    number = {pair: i for i, pair in enumerate(pairs)}
+    pairs = [fgroup.ONE]
+    number = {fgroup.ONE: 0}
     rows: list[int] = []
     size = 0
-    for _ in range(rounds):
+    for _ in range(r + 1):
         start, size = size, len(pairs)
         for g in pairs[start:size]:
             for v in values:
@@ -387,27 +324,13 @@ def _cayley_automaton(elements: list[FElement], alphabet: GenAlphabet,
                 rows.append(w)
     keys = fgroup.pair_keys(pairs)
     tgt = array("i", [w if w < size else -1 for w in rows])
-    return Automaton.from_targets(alphabet, keys[:size], tgt, frozenset(keys[size:]))
+    return Automaton(alphabet, keys[:size], tgt, frozenset(keys[size:]))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 FORMAT_NAME = "fcayley-automaton"
-
-
-def automaton_to_obj(aut: Automaton) -> dict:
-    keys, letters = aut.keys, aut.alphabet.letters()
-    obj: dict = {
-        "format": FORMAT_NAME,
-        "alphabet": list(aut.alphabet.symbols),
-        "vertices": list(keys),
-        "edges": [[keys[v], letters[j], keys[w]] for v, j, w in aut.sorted_edges()],
-        "values": _values_obj(aut.alphabet),
-    }
-    if aut.outer is not None:
-        obj["outer"] = sorted(aut.outer)
-    return obj
 
 
 def _values_obj(alphabet: GenAlphabet) -> dict | None:
@@ -484,14 +407,15 @@ def automaton_from_obj(obj: dict) -> Automaton:
         set_slot(index[u], slot[a], index[w])
         if not directed:
             set_slot(index[w], (slot[a] + d // 2) % d, index[u])
-    return Automaton.from_targets(alphabet, vertices, tgt,
-                                  outer=frozenset(outer) if outer is not None else None)
+    return Automaton(alphabet, vertices, tgt,
+                     outer=frozenset(outer) if outer is not None else None)
 
 
 def save_automaton(aut: Automaton, path) -> None:
-    """Write the bytes `json.dump(automaton_to_obj(aut), fh, indent=1,
-    sort_keys=True)` and a newline would, with the C string encoder and the
-    edges taken in order from the core, in chunks of rows."""
+    """Write the bytes `json.dump(obj, fh, indent=1, sort_keys=True)` and a
+    newline would for the file object of the automaton (one edge per inverse
+    pair, positive letter, in key order; outer sorted, when known), with the
+    C string encoder and the edges taken in order from the core, in chunks."""
     enc = json.encoder.encode_basestring_ascii
     keys = [enc(v) for v in aut.keys]
     letters = [enc(a) for a in aut.alphabet.letters()]

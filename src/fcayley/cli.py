@@ -146,7 +146,7 @@ def _sweep_k(job):
     from . import counting
 
     k, n_values, specs = job
-    symbols = [make_alphabet(spec, with_values=False).symbols for spec in specs]
+    symbols = [make_alphabet(spec).symbols for spec in specs]
     counting.table(k, max(n_values))  # one table per cap, built for the largest n
     return [counting.density_report(n, k, syms) for n in n_values for syms in symbols]
 

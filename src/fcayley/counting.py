@@ -244,46 +244,6 @@ def xi_estimate(k: int, n: int) -> Fraction:
     return Fraction(t.marked(n - 1), t.marked(n))
 
 
-def xi_diagnostics(k: int, n: int) -> dict:
-    """Stabilization report: the last two successive ratios and their gap."""
-    last = xi_estimate(k, n)
-    prev = xi_estimate(k, n - 1)
-    return {"k": k, "n": n, "xi": last, "xi_prev": prev, "gap": abs(last - prev)}
-
-
-# Density of BB(n, k) over {x0, x1, xb1} after removing the isolated set;
-# iota_star_bound is 2m - trimmed_density, m = 3.
-TrimmedReport = namedtuple("TrimmedReport",
-                           "n k density p trimmed_density iota_star_bound")
-
-
-def trimmed_density(n: int, k: int) -> TrimmedReport:
-    """(delta - 4p) / (1 - p) for the {x0, x1, xb1} graph.
-
-    Removing the Y0 vertices deletes exactly their two accepted slots and the
-    two inverse slots pointing at them, i.e. 4 directed edges per vertex; no
-    two Y0 vertices are adjacent, so there is no double counting.
-    """
-    rec = density_report(n, k, ("x0", "x1", "xb1"))
-    p = rec.p
-    if p == 1:
-        raise ValueError("cannot trim: every vertex is isolated")
-    trimmed = (rec.density - 4 * p) / (1 - p)
-    return TrimmedReport(n=n, k=k, density=rec.density, p=p,
-                         trimmed_density=trimmed,
-                         iota_star_bound=6 - trimmed)
-
-
-def trimming_constants(p0: Fraction = Fraction(1, 260),
-                       eps: Fraction | None = None) -> dict:
-    """Symbolic form of the trimming bound: with p > p0 and any eps in (0, p0),
-    the isoperimetric constant is below 1 - (p0 - eps)/(1 - p0); the choice
-    eps = p0/2 gives 517/518 for p0 = 1/260."""
-    eps = p0 / 2 if eps is None else eps
-    bound = 1 - (p0 - eps) / (1 - p0)
-    return {"p0": p0, "eps": eps, "iota_bound": bound}
-
-
 def catalan(n: int) -> int:
     """c_n = (2n)! / (n! (n+1)!), the forest count without a height cap."""
     import math

@@ -47,9 +47,6 @@ and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2, xbar1 = x1 * x0^-1.
 
 from __future__ import annotations
 
-# A group word is a sequence of (symbol, sign) letters, sign in {+1, -1}.
-Letter = tuple[str, int]
-Word = tuple[Letter, ...]
 Depths = tuple[int, ...]
 
 
@@ -184,6 +181,11 @@ def power(a: FElement, n: int) -> FElement:
     return out
 
 
+def conjugate(g: FElement, by: FElement) -> FElement:
+    """g^by = by^-1 g by."""
+    return multiply(multiply(invert(by), g), by)
+
+
 X0 = element_from_key("(.(..))|((..).)")
 X1 = element_from_key("(.(.(..)))|(.((..).))")
 
@@ -196,8 +198,7 @@ def generator_x(n: int) -> FElement:
         return X0
     if n == 1:
         return X1
-    xp = power(X0, n - 1)
-    return multiply(multiply(invert(xp), X1), xp)
+    return conjugate(X1, power(X0, n - 1))
 
 
 def generator_xbar1() -> FElement:
@@ -206,108 +207,38 @@ def generator_xbar1() -> FElement:
 
 
 # ---------------------------------------------------------------------------
-# Group words
+# The order-2 automorphism, written on the images (a, b) of (x0, x1)
 
 
-def word_inverse(w: Word) -> Word:
-    return tuple((sym, -sign) for sym, sign in reversed(w))
+def automorphism(a: FElement, b: FElement) -> tuple[FElement, FElement]:
+    """The map x0 -> x0^-1, x1 -> x1 x0^-1 on the images (a, b) of (x0, x1)
+    under a homomorphism phi: (phi(x0^-1), phi(x1 x0^-1)) = (a^-1, b a^-1).
+    At (X0, X1) it gives the images of the generators."""
+    return invert(a), multiply(b, invert(a))
 
 
-def word_conjugate(w: Word, by: Word) -> Word:
-    """w^by = by^-1 * w * by."""
-    return word_inverse(by) + w + by
-
-
-def word_commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a^-1 * b^-1 * a * b."""
-    return word_inverse(a) + word_inverse(b) + a + b
-
-
-def evaluate_word(w: Word, assignment: dict[str, FElement]) -> FElement:
-    """Left-to-right product of the assigned values; the empty word is the identity."""
-    out = IDENTITY
-    for sym, sign in w:
-        if sym not in assignment:
-            raise ValueError(f"no value assigned to symbol {sym!r}")
-        val = assignment[sym]
-        out = multiply(out, val if sign == 1 else invert(val))
-    return out
-
-
-STANDARD_ASSIGNMENT = {"x0": X0, "x1": X1}
-
-
-def evaluate(w: Word) -> FElement:
-    return evaluate_word(w, STANDARD_ASSIGNMENT)
-
-
-# ---------------------------------------------------------------------------
-# Presentations and the order-2 automorphism
-
-W_X0: Word = (("x0", 1),)
-W_X1: Word = (("x1", 1),)
-
-
-def presentation2_relators() -> list[Word]:
-    """Relators of the two-generator presentation: x1^(x0^2) = x1^(x0 x1)
-    and x1^(x0^3) = x1^(x0^2 x1), as words that must evaluate to the identity."""
-    out = []
-    for k in (2, 3):
-        xp = W_X0 * k
-        lhs = word_conjugate(W_X1, xp)
-        rhs = word_conjugate(W_X1, xp[: k - 1] + W_X1)
-        out.append(lhs + word_inverse(rhs))
-    return out
-
-
-def presentation3_relators() -> list[Word]:
-    """Relators of the symmetric presentation in alpha = x1^-1, beta = x0 x1^-1:
-    [alpha^beta, beta^alpha] and [alpha^beta, beta^(alpha^2)]."""
-    alpha: Word = (("x1", -1),)
-    beta: Word = (("x0", 1), ("x1", -1))
-    a_b = word_conjugate(alpha, beta)
-    b_a = word_conjugate(beta, alpha)
-    b_a2 = word_conjugate(beta, alpha * 2)
-    return [word_commutator(a_b, b_a), word_commutator(a_b, b_a2)]
-
-
-AUTO_IMAGES: dict[Letter, Word] = {
-    ("x0", 1): (("x0", -1),),
-    ("x0", -1): (("x0", 1),),
-    ("x1", 1): (("x1", 1), ("x0", -1)),
-    ("x1", -1): (("x0", 1), ("x1", -1)),
-}
-
-
-def apply_auto(w: Word) -> Word:
-    """Letter substitution x0 -> x0^-1, x1 -> x1*x0^-1 (inverses to inverse images)."""
-    out: list[Letter] = []
-    for letter in w:
-        if letter not in AUTO_IMAGES:
-            raise ValueError(f"letter {letter!r} is not over {{x0, x1}}")
-        out.extend(AUTO_IMAGES[letter])
-    return tuple(out)
+def presentation2_relators(a: FElement, b: FElement) -> list[FElement]:
+    """The relators x1^(x0^k) (x1^(x0^(k-1) x1))^-1, k = 2, 3, of the
+    two-generator presentation at x0 = a, x1 = b: all are the identity
+    exactly when x0 -> a, x1 -> b extends to an endomorphism of F."""
+    return [multiply(conjugate(b, power(a, k)),
+                     invert(conjugate(b, multiply(power(a, k - 1), b))))
+            for k in (2, 3)]
 
 
 def check_automorphism() -> dict[str, bool]:
-    """Verify the substitution is an order-2 automorphism of F.
+    """Verify that the map is an order-2 automorphism of F.
 
-    Checks: both relators of the two-generator presentation map to the
-    identity, the square of the substitution fixes x0 and x1, and the image
-    of the commutator [x0, x1] is nontrivial (so the endomorphism is not
-    a collapse onto an abelian quotient).
+    Checks: both relators vanish at the images of x0 and x1, applying the
+    map to its own images gives back x0 and x1, and the images do not
+    commute, so the image of [x0, x1] is nontrivial (the endomorphism is
+    not a collapse onto an abelian quotient).
     """
-    relators_ok = all(
-        evaluate(apply_auto(r)).is_identity() for r in presentation2_relators()
-    )
-    involutive = all(
-        evaluate(apply_auto(apply_auto(w))) == evaluate(w) for w in (W_X0, W_X1)
-    )
-    comm_image = evaluate(apply_auto(word_commutator(W_X0, W_X1)))
+    a, b = automorphism(X0, X1)
     report = {
-        "relators_preserved": relators_ok,
-        "involutive_on_generators": involutive,
-        "commutator_image_nontrivial": not comm_image.is_identity(),
+        "relators_preserved": all(r.is_identity() for r in presentation2_relators(a, b)),
+        "involutive_on_generators": automorphism(a, b) == (X0, X1),
+        "commutator_image_nontrivial": multiply(a, b) != multiply(b, a),
     }
     report["ok"] = all(report.values())
     return report

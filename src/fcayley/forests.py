@@ -173,4 +173,4 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
             col = array("i", map((columns[step] + array("i", [-1])).__getitem__, col))
         tgt[j::d] = col
     del columns, col  # sorting the vertices copies tgt
-    return Automaton.from_targets(alphabet, keys, tgt)
+    return Automaton(alphabet, keys, tgt)

@@ -1,0 +1,95 @@
+"""Automata as dict rows, induced subgraphs and the file object, for tests.
+
+`fcayley.cayley` builds automata on the integer core (sorted keys and a
+flat target array) and writes files straight from it.  This module keeps
+what only tests run: letter inverses, the builder from rows letter ->
+target key or None, slot and edge queries on keys, induced sub-automata
+built on `fgroup.multiply`, and the JSON object of a file, whose
+`json.dump` bytes are the reference for `save_automaton`.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+from fcayley.cayley import INV, FORMAT_NAME, Automaton, AutomatonFormatError, GenAlphabet
+from fcayley.fgroup import element_from_key, multiply
+
+
+def letter_inverse(letter: str) -> str:
+    return letter[: -len(INV)] if letter.endswith(INV) else letter + INV
+
+
+def automaton_from_rows(alphabet: GenAlphabet, slots: dict[str, dict[str, str | None]],
+                        outer: frozenset[str] | None = None) -> Automaton:
+    """Automaton from rows letter -> target key or None, one per vertex."""
+    letters = alphabet.letters()
+    index = {v: i for i, v in enumerate(slots)}
+    for v, row in slots.items():
+        if row.keys() != set(letters):
+            raise AutomatonFormatError(f"vertex {v!r} does not carry one slot per letter")
+        for a, w in row.items():
+            if w is not None and w not in index:
+                raise AutomatonFormatError(f"edge ({v!r}, {a!r}) targets unknown vertex {w!r}")
+    tgt = array("i", [index.get(row[a], -1) for row in slots.values() for a in letters])
+    return Automaton(alphabet, list(slots), tgt, outer)
+
+
+def accepts(aut: Automaton, v: str, letter: str) -> bool:
+    letters = aut.alphabet.letters()
+    return aut.tgt[aut.index[v] * len(letters) + letters.index(letter)] >= 0
+
+
+def geometric_edges(aut: Automaton) -> list[tuple[str, str, str]]:
+    """One triple per inverse pair, with a positive letter."""
+    return [(v, a, w) for v, a, w in aut.directed_edges() if not a.endswith(INV)]
+
+
+def restrict(aut: Automaton, keys) -> Automaton:
+    """Induced sub-automaton on a subset of vertices (ambient info dropped)."""
+    index, d, keep = aut.index, 2 * aut.alphabet.m, set(keys)
+    if unknown := sorted(keep - index.keys()):
+        raise ValueError(f"keys not in automaton: {unknown[:3]}")
+    rows = sorted(map(index.__getitem__, keep))  # kept vertices, in key order
+    new = [-1] * (len(aut.keys) + 1)  # new number of each old one; new[-1] = -1
+    for r, i in enumerate(rows):
+        new[i] = r
+    tgt = array("i", [new[w] for i in rows for w in aut.tgt[i * d:i * d + d]])
+    return Automaton(aut.alphabet, [aut.keys[i] for i in rows], tgt)
+
+
+def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
+    """Automaton induced by explicit element keys (decoded as reduced pairs),
+    with the products that leave the set as its outer boundary."""
+    if not alphabet.has_values():
+        raise ValueError("induced subgraph needs an alphabet with group values")
+    elements = {}
+    for key in keys:
+        g = element_from_key(key)
+        if g.key != key:
+            raise ValueError(f"key {key!r} is not a reduced pair (canonical: {g.key!r})")
+        elements[key] = g
+    if not elements:
+        raise ValueError("empty vertex set")
+    rows, outer = {}, set()
+    for v, g in elements.items():
+        row = {a: multiply(g, alphabet.value(a)).key for a in alphabet.letters()}
+        outer.update(w for w in row.values() if w not in elements)
+        rows[v] = {a: w if w in elements else None for a, w in row.items()}
+    return automaton_from_rows(alphabet, rows, frozenset(outer))
+
+
+def automaton_to_obj(aut: Automaton) -> dict:
+    """The file object of an automaton: `save_automaton` writes the bytes of
+    `json.dump(obj, fh, indent=1, sort_keys=True)` and a newline."""
+    al = aut.alphabet
+    obj: dict = {
+        "format": FORMAT_NAME,
+        "alphabet": list(al.symbols),
+        "vertices": list(aut.keys),
+        "edges": [list(e) for e in sorted(geometric_edges(aut))],
+        "values": {s: al.values[s].key for s in al.symbols} if al.has_values() else None,
+    }
+    if aut.outer is not None:
+        obj["outer"] = sorted(aut.outer)
+    return obj

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from fcayley.cayley import INV, Automaton, base_symbol, letter_inverse, letter_symbol
+from cayley_ref import letter_inverse
+from fcayley.cayley import INV, Automaton, base_symbol, letter_symbol
 from fcayley.evac import (
     Edge,
     EvacScheme,

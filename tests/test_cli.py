@@ -154,14 +154,15 @@ def test_evac_command_witness(tmp_path):
 
 
 def test_certify_command(tmp_path):
-    from fcayley.cayley import GenAlphabet, Automaton
+    from cayley_ref import automaton_from_rows
+    from fcayley.cayley import GenAlphabet
 
     verts = [f"v{i}" for i in range(5)]
     slots = {v: {"a": None, "a^-1": None} for v in verts}
     for u, w in zip(verts, verts[1:]):
         slots[u]["a"] = w
         slots[w]["a^-1"] = u
-    aut = Automaton(GenAlphabet(("a",)), slots)
+    aut = automaton_from_rows(GenAlphabet(("a",)), slots)
     aut_path = tmp_path / "path5.json"
     save_automaton(aut, aut_path)
 

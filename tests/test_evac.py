@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cayley_ref import automaton_from_rows
 from evac_ref import (
     conjugate_relabel,
     edge_usage,
@@ -16,7 +17,6 @@ from evac_ref import (
 )
 from fcayley import evac, fgroup
 from fcayley.cayley import (
-    Automaton,
     AutomatonFormatError,
     GenAlphabet,
     ball,
@@ -39,7 +39,7 @@ from fcayley.forests import bb_automaton
 
 
 def abstract(slot_map, symbols=("a",)):
-    return Automaton(GenAlphabet(symbols), slot_map)
+    return automaton_from_rows(GenAlphabet(symbols), slot_map)
 
 
 def path_automaton(n_vertices):
@@ -62,7 +62,7 @@ def random_serre_automaton(rng, n_vertices, m, keep=0.7):
         for u, w in zip(doms, imgs):
             slots[u][sym] = w
             slots[w][sym + "^-1"] = u
-    return Automaton(al, slots)
+    return automaton_from_rows(al, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,15 @@ def test_chain_counterexample():
     assert res.witness.cheeger == 2
     assert res.witness.cheeger < len(res.witness.Z)
     assert cheeger_out(aut, set(res.witness.Z)) == res.witness.cheeger
+
+
+def test_chain_rows():
+    assert blocked_chain_automaton().slots == {
+        "u1": {"a": "u1", "b": "u2", "a^-1": "u1", "b^-1": "u2"},
+        "u2": {"a": "u3", "b": "u1", "a^-1": "u3", "b^-1": "u1"},
+        "u3": {"a": "u2", "b": "z", "a^-1": "u2", "b^-1": "z"},
+        "z": {"a": None, "b": "u3", "a^-1": None, "b^-1": "u3"},
+    }
 
 
 def test_chain_solvable_at_two():
@@ -392,8 +401,22 @@ def test_certificate_antisymmetry_violation():
     obj = {"C": "2", "eps": "1",
            "flow": [["v0", "a", "v1", "1"], ["v1", "a^-1", "v0", "1"]],
            "boundary_inflows": {}}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="antisymmetry violation on edge "
+                                         r"\('v1', 'a\^-1', 'v0'\): -1 vs 1"):
         certificate_from_obj(aut, obj)
+
+
+def test_certificate_lists_an_edge_either_way():
+    # an entry and the same flow written on the inverse edge agree
+    aut, cert = five_path_certificate()
+    both = certificate_from_obj(aut, {
+        "C": "3", "eps": "1",
+        "flow": [["v0", "a", "v1", "2"], ["v1", "a^-1", "v0", "-2"], ["v2", "a^-1", "v1", "-1"],
+                 ["v2", "a", "v3", "0"], ["v4", "a^-1", "v3", "1"]],
+        "boundary_inflows": {"v0": "3", "v4": "2"},
+    })
+    assert sorted(both.flow.items()) == sorted(cert.flow.items())
+    assert verify_flow_certificate(aut, both) == verify_flow_certificate(aut, cert)
 
 
 def test_certificate_bound_violation():
@@ -442,14 +465,14 @@ def test_accepted_certificate_implies_inequality():
 
 
 def test_relabel_single_x2_edge():
-    al = make_alphabet("x0,x1,x2", with_values=False)
+    al = GenAlphabet(("x0", "x1", "x2"))
     slots = {
         "p": {a: None for a in al.letters()},
         "q": {a: None for a in al.letters()},
     }
     slots["p"]["x2"] = "q"
     slots["q"]["x2^-1"] = "p"
-    aut = Automaton(al, slots)
+    aut = automaton_from_rows(al, slots)
     scheme = EvacScheme(K=1, paths={"p": (("p", "x2", "q"),), "q": ()})
     validate_scheme(aut, scheme)
     out = conjugate_relabel(scheme, aut)
@@ -458,14 +481,14 @@ def test_relabel_single_x2_edge():
 
 
 def test_relabel_single_x1_edge():
-    al = make_alphabet("x0,x1,x2", with_values=False)
+    al = GenAlphabet(("x0", "x1", "x2"))
     slots = {
         "p": {a: None for a in al.letters()},
         "q": {a: None for a in al.letters()},
     }
     slots["p"]["x1"] = "q"
     slots["q"]["x1^-1"] = "p"
-    aut = Automaton(al, slots)
+    aut = automaton_from_rows(al, slots)
     scheme = EvacScheme(K=1, paths={"p": (("p", "x1", "q"),), "q": ()})
     out = conjugate_relabel(scheme, aut)
     assert [e[1] for e in out.paths["p"]] == ["x0", "xb1"]
