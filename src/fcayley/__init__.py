@@ -3,7 +3,8 @@
 Modules:
   fgroup    reduced tree pairs as leaf-depth sequences, key parser and encoder,
             generators, the order-2 automorphism checked on elements
-  cayley    finite Cayley subgraphs (automata), balls, boundary/density reports, files
+  cayley    finite Cayley subgraphs (automata), balls, boundary/density reports,
+            the rendering of exact numbers, files
   forests   Brown-Belk sets BB(n, k) and the partial generator actions on them
   counting  big-integer DP for |BB|, per-letter boundary counts, Y0, p and xi
   evac      evacuation-scheme solver, Hall witnesses, flow certificates

@@ -32,8 +32,9 @@ from .fgroup import FElement, element_from_key
 
 INV = "^-1"
 
-# Default vertex budget of `forests.bb_automaton`, kept here so that the
-# command-line parser can show it without importing forests.
+# Default budget of `forests.bb_automaton` (forests) and `ball` (leaves of the
+# elements), kept here so that the command-line parser can show it without
+# importing forests.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -52,6 +53,10 @@ class SerreViolation(ValueError):
 
 class AutomatonFormatError(ValueError):
     """Malformed automaton file or duplicate slot assignment."""
+
+
+class BudgetExceeded(ValueError):
+    """A build would exceed its budget of forests or leaves."""
 
 
 BASE_VALUES = {
@@ -228,50 +233,49 @@ class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_
     __slots__ = ()
 
     def as_obj(self) -> dict:
-        obj = {
+        return {
             "size": self.size,
             "nu": dict(self.nu),
             "inner_boundary": self.inner_boundary,
             "outer_boundary": self.outer_boundary,
             "cheeger": self.cheeger,
-            "delta": str(self.density),
-            "iota": str(self.iota),
-            "delta_decimal": decimal_str(self.density),
-            "iota_decimal": decimal_str(self.iota),
+            **rational_fields(delta=self.density, iota=self.iota),
         }
-        return obj
 
 
-def decimal_str(x: Fraction, digits: int = 12) -> str:
-    """Decimal rendering to the given number of significant digits."""
-    if x == 0:
-        return "0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    exp = 0
-    while x >= 10:
-        x /= 10
-        exp += 1
-    while x < 1:
-        x *= 10
-        exp -= 1
-    scaled = x * 10 ** (digits - 1)
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    s = str(n)
-    if len(s) > digits:  # rounding overflow, e.g. 9.99... -> 10.0
-        s = s[:digits]
-        exp += 1
-    if -5 < exp < digits + 3:  # positional form for moderate magnitudes
-        if exp >= 0:
-            intpart = s[: exp + 1].ljust(exp + 1, "0")
-            frac = s[exp + 1 :].rstrip("0")
-            return sign + intpart + ("." + frac if frac else "")
-        body = ("0." + "0" * (-exp - 1) + s).rstrip("0").rstrip(".")
-        return sign + body
-    mantissa = (s[0] + "." + s[1:]).rstrip("0").rstrip(".")
-    return f"{sign}{mantissa}e{exp:+d}"
+def exact_str(x) -> str:
+    """str(x) of a nonnegative int or Fraction of any size: str() refuses
+    more digits than a limit (4300 by default, 640 at least), so integers
+    past 600 digits are rendered in halves."""
+    if not isinstance(x, int):
+        return exact_str(x.numerator) + ("" if x.denominator == 1
+                                         else "/" + exact_str(x.denominator))
+    if x < 10 ** 600:
+        return str(x)
+    half = x.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    high, low = divmod(x, 10 ** half)
+    return exact_str(high) + exact_str(low).zfill(half)
+
+
+def decimal_str(x) -> str:
+    """A rational to 12 significant digits, rounded half up, trailing zeros
+    dropped: positional while the leading digit's exponent e has -5 < e < 15,
+    else as mantissa and exponent ("1e-9")."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+
+    ctx = Context(prec=12, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    q = ctx.divide(Decimal(x.numerator), Decimal(x.denominator)).normalize(ctx)
+    return format(q, "f" if -5 < q.adjusted() < 15 else "e")
+
+
+def rational_fields(**fields) -> dict:
+    """Each rational field as name: exact "p/q" and name_decimal: 12 digits,
+    both None for a None value."""
+    out = {}
+    for name, x in fields.items():
+        out[name] = None if x is None else exact_str(x)
+        out[name + "_decimal"] = None if x is None else decimal_str(x)
+    return out
 
 
 def boundary_report(aut: Automaton) -> BoundaryReport:
@@ -296,23 +300,28 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 # Cayley-graph constructions
 
 
-def ball(r: int, alphabet: GenAlphabet) -> Automaton:
+def ball(r: int, alphabet: GenAlphabet, budget: int = DEFAULT_BUDGET) -> Automaton:
     """Ball of radius r around the identity, as an automaton with ambient data.
 
     Slots g -> g*a: each of r + 1 rounds multiplies the elements the round
     before found (the first, the identity).  Multiplied elements are the
     vertices, the last round's new products are outer; elements are kept as
     reduced depth pairs, numbered as found, and their keys rendered at the end.
+    Each element found is charged its leaf count against `budget`.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
     values = [(v.dd, v.rd) for v in map(alphabet.value, alphabet.letters())]
+    refusal = f"the ball of radius {r} exceeds the budget of {budget:,} leaves"
+    # F is torsion-free: a letter a != 1 makes 2r + 1 elements a^-r .. a^r
+    if 2 * r + 1 > budget and any(len(dd) > 1 for dd, _ in values):
+        raise BudgetExceeded(refusal)
     pairs = [fgroup.ONE]
     number = {fgroup.ONE: 0}
     rows: list[int] = []
-    size = 0
+    size, leaves = 0, 1  # leaves of the elements found, the identity's first
     for _ in range(r + 1):
         start, size = size, len(pairs)
         for g in pairs[start:size]:
@@ -321,6 +330,9 @@ def ball(r: int, alphabet: GenAlphabet) -> Automaton:
                 w = number.setdefault(pair, len(pairs))
                 if w == len(pairs):
                     pairs.append(pair)
+                    leaves += len(pair[0])
+                    if leaves > budget:
+                        raise BudgetExceeded(refusal)
                 rows.append(w)
     keys = fgroup.pair_keys(pairs)
     tgt = array("i", [w if w < size else -1 for w in rows])

@@ -29,10 +29,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_REJECTED = 3
 
+# the first letter columns of a sweep CSV; other letters follow in order of appearance
 NU_COLUMNS = [
     "x0", "x0^-1", "x1", "x1^-1", "xb1", "xb1^-1", "x2", "x2^-1",
     "x0@2", "x0@2^-1",
 ]
+MAX_RECORDS = 100_000  # records of one sweep, about 7 KB each in JSON at n <= 100
 
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
@@ -106,7 +108,8 @@ def cmd_bb(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, option: str) -> list[int]:
+def _parse_int_list(text: str, option: str) -> list[range]:
+    """The items of a comma list of integers and lo:hi ranges, unexpanded."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -121,7 +124,7 @@ def _parse_int_list(text: str, option: str) -> list[int]:
             raise ValueError(f"{option}: {part!r} is not an integer or a range lo:hi") from None
         if lo > hi:
             raise ValueError(f"range {part!r} runs backwards")
-        out.extend(range(lo, hi + 1))
+        out.append(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty integer list {text!r}")
     return out
@@ -154,8 +157,9 @@ def _sweep_k(job):
 def _sweep_csv(records, path) -> None:
     import csv
 
+    letters = dict.fromkeys(NU_COLUMNS + [a for rec in records for a in rec.nu])
     fields = (["n", "k", "alphabet", "size"]
-              + [f"nu_{a}" for a in NU_COLUMNS]
+              + [f"nu_{a}" for a in letters]
               + ["delta", "delta_decimal", "iota", "iota_decimal",
                  "p", "p_decimal", "xi", "xi_decimal"])
     with open(path, "w", newline="") as fh:
@@ -168,13 +172,21 @@ def _sweep_csv(records, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    k_values = _parse_int_list(args.k, "--k")
-    n_values = _parse_int_list(args.n, "--n")
+    k_ranges = _parse_int_list(args.k, "--k")
+    n_ranges = _parse_int_list(args.n, "--n")
     specs = [s.strip() for s in args.alphabets.split(";") if s.strip()]
     if not specs:
         raise ValueError("no alphabets given")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
+    grid = len(specs)  # counted from the range ends, before any list is built
+    for ranges in (k_ranges, n_ranges):
+        grid *= sum(r.stop - r.start for r in ranges)
+    if grid > MAX_RECORDS:
+        raise ValueError(f"the sweep grid has {grid:,} records, past the bound of "
+                         f"{MAX_RECORDS:,}")
+    k_values = [k for r in k_ranges for k in r]
+    n_values = [n for r in n_ranges for n in r]
     records = sweep_records(k_values, n_values, specs, threads=args.threads)
     if args.format == "csv":
         _sweep_csv(records, args.out)

@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .cayley import INV, base_symbol, decimal_str
+from .cayley import INV, base_symbol, exact_str, rational_fields
 
 
 def _coef(P: list[int], series: list[int], n: int) -> int:
@@ -115,20 +115,29 @@ class CountTable:
 
 
 TABLES_KEPT = 16  # height caps whose tables stay cached
+# F[i] and G[i] count at most 4^i forests, so a table up to n leaves holds at
+# most 2 n^2 bits: 1 GiB at this bound, which the cached tables share
+MAX_LEAVES = 2 ** 16
 _tables: dict[int, CountTable] = {}  # least recently used first
 
 
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap and n >= 1 leaves, rebuilt at
-    max(n, 2 n_max) when n outgrows it."""
+    """Shared table for a height cap and 1 <= n <= MAX_LEAVES leaves, rebuilt
+    at max(n, 2 n_max), within the bound, when n outgrows it."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_LEAVES:
+        raise ValueError(f"n = {n} is past the count-table bound of {MAX_LEAVES:,} leaves "
+                         "(about 1 GiB of series)")
     t = _tables.pop(k, None)
     if t is None or t.n_max < n:
-        t = CountTable(k, max(n, 2 * t.n_max) if t else n)
+        n = min(max(n, 2 * t.n_max), MAX_LEAVES) if t else n
+        del t  # the outgrown table goes first; then the least recently used
+        while len(_tables) >= TABLES_KEPT or n * n + sum(
+                u.n_max ** 2 for u in _tables.values()) > MAX_LEAVES ** 2:
+            del _tables[next(iter(_tables))]
+        t = CountTable(k, n)
     _tables[k] = t
-    if len(_tables) > TABLES_KEPT:
-        del _tables[next(iter(_tables))]
     return t
 
 
@@ -179,20 +188,6 @@ def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
     return out
 
 
-def exact_str(x) -> str:
-    """str(x) of a nonnegative int or Fraction of any size: str() refuses
-    more digits than a limit (4300 by default, 640 at least), so integers
-    past 600 digits are rendered in halves."""
-    if not isinstance(x, int):
-        return exact_str(x.numerator) + ("" if x.denominator == 1
-                                         else "/" + exact_str(x.denominator))
-    if x < 10 ** 600:
-        return str(x)
-    half = x.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
-    high, low = divmod(x, 10 ** half)
-    return exact_str(high) + exact_str(low).zfill(half)
-
-
 class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density iota p xi")):
     """Exact density data of BB(n, k) over one alphabet (xi is None at n = 1)."""
 
@@ -205,14 +200,7 @@ class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density io
             "alphabet": self.alphabet,
             "size": exact_str(self.size),
             "nu": {a: exact_str(v) for a, v in self.nu.items()},
-            "delta": exact_str(self.density),
-            "delta_decimal": decimal_str(self.density),
-            "iota": exact_str(self.iota),
-            "iota_decimal": decimal_str(self.iota),
-            "p": exact_str(self.p),
-            "p_decimal": decimal_str(self.p) if self.p else "0",
-            "xi": exact_str(self.xi) if self.xi is not None else None,
-            "xi_decimal": decimal_str(self.xi) if self.xi else None,
+            **rational_fields(delta=self.density, iota=self.iota, p=self.p, xi=self.xi),
         }
 
 

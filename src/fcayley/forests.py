@@ -26,11 +26,8 @@ from __future__ import annotations
 
 from array import array
 
-from .cayley import DEFAULT_BUDGET, INV, Automaton, GenAlphabet, base_symbol, letter_symbol
-
-
-class BudgetExceeded(ValueError):
-    """Enumeration would produce more forests than the configured budget."""
+from .cayley import (DEFAULT_BUDGET, INV, Automaton, BudgetExceeded, GenAlphabet, base_symbol,
+                     exact_str, letter_symbol)
 
 
 class TreeTable:
@@ -130,7 +127,7 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         m = min(2 * m, n) or 1
         total = counting.bb_count(m, k)
     if total > budget:
-        raise BudgetExceeded(f"|BB({n},{k})| >= {counting.exact_str(total)} exceeds budget {budget}")
+        raise BudgetExceeded(f"|BB({n},{k})| >= {exact_str(total)} exceeds budget {budget}")
     tt = TreeTable(min(k, n), n)  # a tree with n leaves has height below n
     shapes = tt.shapes(n)
     base: dict[tuple[int, ...], int] = {}

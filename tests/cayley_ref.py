@@ -4,13 +4,15 @@
 flat target array) and writes files straight from it.  This module keeps
 what only tests run: letter inverses, the builder from rows letter ->
 target key or None, slot and edge queries on keys, induced sub-automata
-built on `fgroup.multiply`, and the JSON object of a file, whose
-`json.dump` bytes are the reference for `save_automaton`.
+built on `fgroup.multiply`, the JSON object of a file, whose `json.dump`
+bytes are the reference for `save_automaton`, and the rounding of a
+Fraction to 12 digits by exact arithmetic, the reference for `decimal_str`.
 """
 
 from __future__ import annotations
 
 from array import array
+from fractions import Fraction
 
 from fcayley.cayley import INV, FORMAT_NAME, Automaton, AutomatonFormatError, GenAlphabet
 from fcayley.fgroup import element_from_key, multiply
@@ -93,3 +95,36 @@ def automaton_to_obj(aut: Automaton) -> dict:
     if aut.outer is not None:
         obj["outer"] = sorted(aut.outer)
     return obj
+
+
+def fraction_decimal_str(x: Fraction, digits: int = 12) -> str:
+    """Decimal rendering to the given number of significant digits, rounded
+    half up with Fraction arithmetic."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    exp = 0
+    while x >= 10:
+        x /= 10
+        exp += 1
+    while x < 1:
+        x *= 10
+        exp -= 1
+    scaled = x * 10 ** (digits - 1)
+    n = scaled.numerator // scaled.denominator
+    if 2 * (scaled - n) >= 1:
+        n += 1
+    s = str(n)
+    if len(s) > digits:  # rounding overflow, e.g. 9.99... -> 10.0
+        s = s[:digits]
+        exp += 1
+    if -5 < exp < digits + 3:  # positional form for moderate magnitudes
+        if exp >= 0:
+            intpart = s[: exp + 1].ljust(exp + 1, "0")
+            frac = s[exp + 1 :].rstrip("0")
+            return sign + intpart + ("." + frac if frac else "")
+        body = ("0." + "0" * (-exp - 1) + s).rstrip("0").rstrip(".")
+        return sign + body
+    mantissa = (s[0] + "." + s[1:]).rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{exp:+d}"

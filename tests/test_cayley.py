@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 from array import array
 
 import pytest
@@ -9,6 +10,7 @@ from fcayley import fgroup
 from fcayley.cayley import (
     Automaton,
     AutomatonFormatError,
+    BudgetExceeded,
     GenAlphabet,
     SerreViolation,
     automaton_from_obj,
@@ -74,6 +76,37 @@ def test_ball_one_standard():
 def test_ball_one_multiset():
     aut = ball(1, make_alphabet("x1,xb1,x0,x0"))
     assert len(aut) == 7
+
+
+def ball_leaves(aut) -> int:
+    """Leaves of every element the ball found, vertices and outer ones."""
+    return sum(len(fgroup.element_from_key(key).dd) for key in (*aut.keys, *aut.outer))
+
+
+@pytest.mark.parametrize("r,spec", [(12, "x0"), (3, "x0,x1"), (2, "x1,xb1,x0,x0")])
+def test_ball_budget_charges_each_element_its_leaves(r, spec):
+    al = make_alphabet(spec)
+    total = ball_leaves(ball(r, al))
+    assert len(ball(r, al, budget=total)) == len(ball(r, al))
+    with pytest.raises(BudgetExceeded, match=f"the ball of radius {r} exceeds the "
+                                             f"budget of {total - 1:,} leaves"):
+        ball(r, al, budget=total - 1)
+
+
+def test_ball_budget_refuses_a_radius_past_it_at_once():
+    # over {x0} the ball is a path, so a radius of 10^8 would grow for hours
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="budget of 10,000,000 leaves"):
+        ball(10 ** 8, make_alphabet("x0"))
+    assert time.perf_counter() - start < 1.0
+    # powers of the identity are not distinct: its ball is one leaf at every radius
+    assert len(ball(20, GenAlphabet(["e"], {"e": fgroup.IDENTITY}), budget=10)) == 1
+
+
+def test_ball_seven_fits_the_default_budget():
+    aut = ball(7, make_alphabet("x0,x1"))
+    assert (len(aut), len(aut.outer)) == (3957, 7280)
+    assert ball_leaves(aut) < 100_000
 
 
 def test_ball_nesting_and_inversion_symmetry():

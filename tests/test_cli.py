@@ -8,7 +8,8 @@ import pytest
 
 from fcayley import evac
 from fcayley.cayley import load_automaton, save_automaton
-from fcayley.cli import EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, main, sweep_records
+from fcayley.cli import (EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, NU_COLUMNS, main,
+                         sweep_records)
 
 
 def run(args):
@@ -524,6 +525,62 @@ def test_bb_count_mode_past_the_str_limit(tmp_path, monkeypatch):
     size = read_json(out)["record"]["size"]
     assert len(size) > 4300
     assert digits_value(size) == counting.bb_count(12000, 3)
+
+
+def test_sweep_csv_has_a_column_for_every_letter(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--k", "2,3", "--n", "5,9", "--alphabets", "x1,x1,x0,x0,x0;x0,x1",
+                "--format", "csv", "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    letters = [f[3:] for f in rows[0] if f.startswith("nu_")]
+    assert letters == NU_COLUMNS + ["x1@2", "x1@2^-1", "x0@3", "x0@3^-1"]
+    from fractions import Fraction
+
+    sums = [sum(int(v) for f, v in row.items() if f.startswith("nu_") and v) for row in rows]
+    for row, nu in zip(rows, sums):  # every boundary slot is in a column
+        assert nu == Fraction(row["iota"]) * int(row["size"]), row
+    assert (rows[0]["size"], sums[0]) == ("60", 256)  # k = 2, n = 5, five letters
+
+
+def run_bounded(args):
+    """`python -m fcayley ARGS` in a child held to 1 GiB of address space and
+    10 s, so that an unbounded build fails the test instead of exhausting
+    the machine's memory; the exit code, stderr and seconds taken."""
+    import resource
+    import subprocess
+    import sys
+
+    import fcayley
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fcayley.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fcayley", *args],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=10, preexec_fn=limit_memory)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bb", "--n", "99999999999", "--k", "1"],
+     "n = 99999999999 is past the count-table bound of 65,536 leaves"),
+    (["sweep", "--k", "2", "--n", "99999999999"],
+     "n = 99999999999 is past the count-table bound of 65,536 leaves"),
+    (["sweep", "--k", "2", "--n", "1:1000000000"],
+     "the sweep grid has 1,000,000,000 records, past the bound of 100,000"),
+    (["sweep", "--k", "0:9", "--n", "1:10000", "--alphabets", "x0;x1", "--out", os.devnull],
+     "the sweep grid has 200,000 records"),
+    (["ball", "--r", "100000000", "--alphabet", "x0"],
+     "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
+], ids=["bb", "sweep-n", "sweep-grid", "sweep-grid-alphabets", "ball"])
+def test_unbounded_requests_are_refused_at_once(args, message):
+    code, err, seconds = run_bounded(args)
+    assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err
+    assert seconds < 2.0
 
 
 def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):

@@ -177,6 +177,31 @@ def test_regime_rule_is_the_measured_crossover(monkeypatch):
     assert peak < 2 ** 20 and convolved[-1] == 61
 
 
+def test_table_past_the_leaf_bound_is_refused_before_any_build(monkeypatch):
+    built = []
+    monkeypatch.setattr(counting, "CountTable", lambda k, n: built.append((k, n)))
+    for n in (counting.MAX_LEAVES + 1, 99999999999):
+        with pytest.raises(ValueError, match=f"n = {n} is past the count-table bound "
+                                             "of 65,536 leaves"):
+            counting.table(1, n)
+    assert built == []
+
+
+def test_cached_tables_stay_within_the_leaf_bound_together(monkeypatch):
+    monkeypatch.setattr(counting, "_tables", {})
+    monkeypatch.setattr(counting, "MAX_LEAVES", 100)  # tables of n_max^2 <= 10,000 in all
+    counting.table(3, 60)
+    counting.table(4, 60)
+    assert set(counting._tables) == {3, 4}  # 3,600 + 3,600
+    counting.table(3, 10)  # touch 3, so 4 is the least recently used
+    counting.table(5, 80)  # 6,400 fits beside one table of 60 leaves only
+    assert {k: t.n_max for k, t in counting._tables.items()} == {3: 60, 5: 80}
+    assert counting.table(5, 90).n_max == 100  # regrown at 2 n_max, within the bound
+    assert {k: t.n_max for k, t in counting._tables.items()} == {5: 100}
+    with pytest.raises(ValueError, match="bound of 100 leaves"):
+        counting.table(3, 101)
+
+
 def test_cached_tables_hold_only_their_series(monkeypatch):
     monkeypatch.setattr(counting, "_tables", {})
     for k in (10, 11, 12):  # all three run the circuit at 900 leaves

@@ -1,6 +1,8 @@
-"""Property tests: group axioms of tree-pair arithmetic and reversibility of
-the forest action.  Deterministic (derandomized) and bounded in size."""
+"""Property tests: group axioms of tree-pair arithmetic, reversibility of
+the forest action and the 12-digit rendering of rationals.  Deterministic
+(derandomized) and bounded in size."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -8,8 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cayley_ref import letter_inverse  # noqa: E402
-from fcayley.cayley import make_alphabet  # noqa: E402
+from cayley_ref import fraction_decimal_str, letter_inverse  # noqa: E402
+from fcayley.cayley import decimal_str, make_alphabet  # noqa: E402
 from fcayley.fgroup import (  # noqa: E402
     IDENTITY,
     X0,
@@ -80,3 +82,32 @@ def test_forest_action_is_reversible(n, k, pick, word):
         assert parse_forest(g).leaves == n and parse_forest(g).max_height() <= k
         assert rows[g][letter_inverse(a)] == path[-1]
         path.append(g)
+
+
+signs = st.sampled_from((1, -1))
+powers_of_ten = st.integers(-30, 30).map(lambda e: Fraction(10) ** e)
+# numerators and denominators of 1 to 3,000 bits
+wide = st.integers(1, 3000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+# 13 digits ending in 5: a tie at the 12th digit; 12 nines and a 5 carry into a new digit
+ties = st.integers(10 ** 11, 10 ** 12 - 1).map(lambda head: Fraction(10 * head + 5, 10 ** 12))
+carry = st.just(Fraction(10 ** 13 - 5, 10 ** 12))
+small = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+rationals = st.one_of(
+    st.builds(lambda n, d, sign: sign * Fraction(n, d), wide, wide, signs),
+    st.builds(lambda x, scale, sign: sign * x * scale, st.one_of(ties, carry, small),
+              powers_of_ten, signs))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(rationals)
+def test_decimal_str_matches_the_fraction_reference(x):
+    assert decimal_str(x) == fraction_decimal_str(x)
+
+
+def test_decimal_str_rounds_ties_up_and_carries():
+    assert decimal_str(Fraction(10 ** 13 - 5, 10 ** 12)) == "10"
+    assert decimal_str(Fraction(-(10 ** 13 - 5), 10 ** 17)) == "-0.0001"
+    assert decimal_str(Fraction(-(10 ** 13 - 5), 10 ** 18)) == "-1e-5"
+    assert decimal_str(Fraction(1234567890125, 10 ** 30)) == "1.23456789013e-18"
+    assert decimal_str(Fraction(10 ** 15 - 1)) == "1e+15"
+    assert decimal_str(Fraction(10 ** 14 + 1)) == "100000000000000"
