@@ -300,23 +300,23 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 # Cayley-graph constructions
 
 
-def ball(r: int, alphabet: GenAlphabet, budget: int = DEFAULT_BUDGET) -> Automaton:
+def ball(r: int, alphabet: GenAlphabet) -> Automaton:
     """Ball of radius r around the identity, as an automaton with ambient data.
 
     Slots g -> g*a: each of r + 1 rounds multiplies the elements the round
     before found (the first, the identity).  Multiplied elements are the
     vertices, the last round's new products are outer; elements are kept as
     reduced depth pairs, numbered as found, and their keys rendered at the end.
-    Each element found is charged its leaf count against `budget`.
+    Each element found is charged its leaf count against DEFAULT_BUDGET.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
     values = [(v.dd, v.rd) for v in map(alphabet.value, alphabet.letters())]
-    refusal = f"the ball of radius {r} exceeds the budget of {budget:,} leaves"
+    refusal = f"the ball of radius {r} exceeds the budget of {DEFAULT_BUDGET:,} leaves"
     # F is torsion-free: a letter a != 1 makes 2r + 1 elements a^-r .. a^r
-    if 2 * r + 1 > budget and any(len(dd) > 1 for dd, _ in values):
+    if 2 * r + 1 > DEFAULT_BUDGET and any(len(dd) > 1 for dd, _ in values):
         raise BudgetExceeded(refusal)
     pairs = [fgroup.ONE]
     number = {fgroup.ONE: 0}
@@ -331,7 +331,7 @@ def ball(r: int, alphabet: GenAlphabet, budget: int = DEFAULT_BUDGET) -> Automat
                 if w == len(pairs):
                     pairs.append(pair)
                     leaves += len(pair[0])
-                    if leaves > budget:
+                    if leaves > DEFAULT_BUDGET:
                         raise BudgetExceeded(refusal)
                 rows.append(w)
     keys = fgroup.pair_keys(pairs)

@@ -34,7 +34,8 @@ NU_COLUMNS = [
     "x0", "x0^-1", "x1", "x1^-1", "xb1", "xb1^-1", "x2", "x2^-1",
     "x0@2", "x0@2^-1",
 ]
-MAX_RECORDS = 100_000  # records of one sweep, about 7 KB each in JSON at n <= 100
+MAX_RECORDS = 100_000  # records of one sweep
+MAX_RECORD_MIB = 1024  # their exact numbers as integers, strings and output text
 
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
@@ -140,9 +141,19 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
     if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+        from . import counting
+
+        # each worker caches its own tables, so each gets a share of the bound
+        with cf.ProcessPoolExecutor(max_workers=workers, initializer=_set_table_bound,
+                                    initargs=(counting.MAX_MIB // workers,)) as pool:
             return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
     return [rec for job in jobs for rec in _sweep_k(job)]
+
+
+def _set_table_bound(mib: int) -> None:
+    from . import counting
+
+    counting.MAX_MIB = mib
 
 
 def _sweep_k(job):
@@ -179,12 +190,20 @@ def cmd_sweep(args) -> int:
         raise ValueError("no alphabets given")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
-    grid = len(specs)  # counted from the range ends, before any list is built
-    for ranges in (k_ranges, n_ranges):
-        grid *= sum(r.stop - r.start for r in ranges)
+    # counted from the range ends, before any list is built
+    ks = sum(r.stop - r.start for r in k_ranges)
+    grid = ks * len(specs) * sum(r.stop - r.start for r in n_ranges)
     if grid > MAX_RECORDS:
         raise ValueError(f"the sweep grid has {grid:,} records, past the bound of "
                          f"{MAX_RECORDS:,}")
+    # a record over m letters holds 2m + 9 exact numbers, and one of n leaves takes
+    # up to 2n bytes (2n bits, 0.6n digits in a string and in the output text),
+    # 320 more as objects: sum (2n + 320) over lo..hi is (lo + hi + 320)(hi - lo + 1)
+    size = ks * sum(2 * len(make_alphabet(spec).symbols) + 9 for spec in specs) * sum(
+        (r.start + r.stop - 1 + 320) * (r.stop - r.start) for r in n_ranges)
+    if size > MAX_RECORD_MIB << 20:
+        raise ValueError(f"the records of the sweep grid take about {-(-size >> 20):,} MiB, "
+                         f"past the bound of {MAX_RECORD_MIB:,} MiB")
     k_values = [k for r in k_ranges for k in r]
     n_values = [n for r in n_ranges for n in r]
     records = sweep_records(k_values, n_values, specs, threads=args.threads)

@@ -23,7 +23,8 @@ adjacent trees of height < k), so h F = F - 1 - x F:
 As h = f - x, [x^n] h S = M[n] - S[n-1]: nu(a) = nu(a^-1) on DP rows is an
 identity of the DP, not a check of it; the tests check the counts against
 enumeration and full-array reference series.  A table is built once, up to
-its n_max; the shared cache rebuilds it, never grows it, when n outgrows it.
+its n_max; the shared cache rebuilds it, never grows it, when n outgrows it,
+and refuses a table whose build, with the tables it keeps, would pass MAX_MIB.
 A table with 2^k <= n_max^2/128, the measured crossover, runs the squaring
 circuit of f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k
 delays, each fed its parent's input or its left sibling's output, and
@@ -80,7 +81,7 @@ class CountTable:
         self.k, self.F, self.G = k, [1], [0]
         self._S: dict[int, int] = {}  # S[m] read so far
         F, G = self.F, self.G
-        if k < (n_max * n_max >> 7).bit_length():  # 2^k <= n_max^2/128
+        if _circuit(k, n_max):
             R = [1] + [0] * ((1 << k) - 1)  # circuit registers, the inputs of the delays
             for _ in range(len(F), n_max + 1):
                 nxt, out, h = [0] * len(R), R, len(R)
@@ -115,26 +116,50 @@ class CountTable:
 
 
 TABLES_KEPT = 16  # height caps whose tables stay cached
-# F[i] and G[i] count at most 4^i forests, so a table up to n leaves holds at
-# most 2 n^2 bits: 1 GiB at this bound, which the cached tables share
-MAX_LEAVES = 2 ** 16
+MAX_MIB = 1024  # the cached tables and the one being built hold at most this together
 _tables: dict[int, CountTable] = {}  # least recently used first
 
 
+def _circuit(k: int, n_max: int) -> bool:
+    """The squaring circuit builds a table while 2^k <= n_max^2/128, the
+    measured crossover; convolution with f_(k-1) above it."""
+    return 0 <= k < (n_max * n_max >> 7).bit_length()
+
+
+# F[i], G[i], T[i], f_(k-1)[i] and every circuit register count at most 4^i
+# forests, 2i bits, and each entry costs about 320 bits more as an object
+def _kept_bits(n: int) -> int:
+    """Bits a table up to n leaves keeps: F and G."""
+    return 2 * n * (n + 320)
+
+
+def _build_bits(k: int, n: int) -> int:
+    """Bits a table up to n leaves holds while built: F and G, and either T
+    and f_(k-1) or the circuit's registers and their successors, 2^(k+1)
+    entries of at most 2n bits."""
+    if _circuit(k, n):
+        return _kept_bits(n) + (2 << k) * (2 * n + 320)
+    return 2 * _kept_bits(n)
+
+
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap and 1 <= n <= MAX_LEAVES leaves, rebuilt
-    at max(n, 2 n_max), within the bound, when n outgrows it."""
+    """Shared table for a height cap and n >= 1 leaves, rebuilt at
+    max(n, 2 n_max), if that fits the bound, when n outgrows it."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_LEAVES:
-        raise ValueError(f"n = {n} is past the count-table bound of {MAX_LEAVES:,} leaves "
-                         "(about 1 GiB of series)")
+    bound = MAX_MIB << 23
     t = _tables.pop(k, None)
     if t is None or t.n_max < n:
-        n = min(max(n, 2 * t.n_max), MAX_LEAVES) if t else n
+        if t is not None and _build_bits(k, 2 * t.n_max) <= bound:
+            n = max(n, 2 * t.n_max)
         del t  # the outgrown table goes first; then the least recently used
-        while len(_tables) >= TABLES_KEPT or n * n + sum(
-                u.n_max ** 2 for u in _tables.values()) > MAX_LEAVES ** 2:
+        bits = _build_bits(k, n)
+        if bits > bound:
+            raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
+                             f"up to {-(-bits >> 23):,} MiB to build, past the bound "
+                             f"of {MAX_MIB:,} MiB")
+        while len(_tables) >= TABLES_KEPT or bits + sum(
+                _kept_bits(u.n_max) for u in _tables.values()) > bound:
             del _tables[next(iter(_tables))]
         t = CountTable(k, n)
     _tables[k] = t

@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from fcayley import fgroup
+from fcayley import cayley, fgroup
 from fcayley.cayley import (
     Automaton,
     AutomatonFormatError,
@@ -84,23 +84,27 @@ def ball_leaves(aut) -> int:
 
 
 @pytest.mark.parametrize("r,spec", [(12, "x0"), (3, "x0,x1"), (2, "x1,xb1,x0,x0")])
-def test_ball_budget_charges_each_element_its_leaves(r, spec):
+def test_ball_budget_charges_each_element_its_leaves(monkeypatch, r, spec):
     al = make_alphabet(spec)
+    size = len(ball(r, al))
     total = ball_leaves(ball(r, al))
-    assert len(ball(r, al, budget=total)) == len(ball(r, al))
+    monkeypatch.setattr(cayley, "DEFAULT_BUDGET", total)
+    assert len(ball(r, al)) == size
+    monkeypatch.setattr(cayley, "DEFAULT_BUDGET", total - 1)
     with pytest.raises(BudgetExceeded, match=f"the ball of radius {r} exceeds the "
                                              f"budget of {total - 1:,} leaves"):
-        ball(r, al, budget=total - 1)
+        ball(r, al)
 
 
-def test_ball_budget_refuses_a_radius_past_it_at_once():
+def test_ball_budget_refuses_a_radius_past_it_at_once(monkeypatch):
     # over {x0} the ball is a path, so a radius of 10^8 would grow for hours
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="budget of 10,000,000 leaves"):
         ball(10 ** 8, make_alphabet("x0"))
     assert time.perf_counter() - start < 1.0
     # powers of the identity are not distinct: its ball is one leaf at every radius
-    assert len(ball(20, GenAlphabet(["e"], {"e": fgroup.IDENTITY}), budget=10)) == 1
+    monkeypatch.setattr(cayley, "DEFAULT_BUDGET", 10)
+    assert len(ball(20, GenAlphabet(["e"], {"e": fgroup.IDENTITY}))) == 1
 
 
 def test_ball_seven_fits_the_default_budget():

@@ -337,7 +337,7 @@ def test_sweep_workers_clamped(monkeypatch):
     started = []
 
     class Recorder:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             started.append(max_workers)
 
         def __enter__(self):
@@ -357,6 +357,19 @@ def test_sweep_workers_clamped(monkeypatch):
     assert started == [4, 2]  # no more workers than height caps
     sweep_records([1], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
     assert started == [4, 2]  # one height cap runs in this process
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+def test_sweep_workers_share_the_table_bound(monkeypatch):
+    from fcayley import counting
+
+    monkeypatch.setattr(counting, "_tables", {})
+    monkeypatch.setattr(counting, "MAX_MIB", 2)
+    # a table of 2,100 leaves takes 2 MiB to build: within the bound, past half of it
+    assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
+    monkeypatch.setattr(counting, "_tables", {})
+    with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
+        sweep_records([2, 3], [2100], ["x0"], threads=2)
 
 
 def test_malformed_automaton_files_exit_2(tmp_path, capsys):
@@ -567,16 +580,22 @@ def run_bounded(args):
 
 @pytest.mark.parametrize("args,message", [
     (["bb", "--n", "99999999999", "--k", "1"],
-     "n = 99999999999 is past the count-table bound of 65,536 leaves"),
-    (["sweep", "--k", "2", "--n", "99999999999"],
-     "n = 99999999999 is past the count-table bound of 65,536 leaves"),
+     "the count table for k = 1 up to n = 99999999999 leaves takes up to "
+     "2,384,185,798,692,704 MiB to build, past the bound of 1,024 MiB"),
+    (["bb", "--n", "65536", "--k", "25"],  # 2^26 circuit registers of up to 2^17 bits
+     "the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB"),
+    (["sweep", "--k", "25", "--n", "65536"],
+     "the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB"),
     (["sweep", "--k", "2", "--n", "1:1000000000"],
      "the sweep grid has 1,000,000,000 records, past the bound of 100,000"),
     (["sweep", "--k", "0:9", "--n", "1:10000", "--alphabets", "x0;x1", "--out", os.devnull],
      "the sweep grid has 200,000 records"),
+    (["sweep", "--k", "0:9", "--n", "55537:65536"],  # 100,000 records of up to 2^17 bits
+     "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
     (["ball", "--r", "100000000", "--alphabet", "x0"],
      "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
-], ids=["bb", "sweep-n", "sweep-grid", "sweep-grid-alphabets", "ball"])
+], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
+        "sweep-grid-leaves", "ball"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
     assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err

@@ -177,29 +177,43 @@ def test_regime_rule_is_the_measured_crossover(monkeypatch):
     assert peak < 2 ** 20 and convolved[-1] == 61
 
 
-def test_table_past_the_leaf_bound_is_refused_before_any_build(monkeypatch):
+@pytest.mark.parametrize("k,n,mib", [
+    (1, 99999999999, "2,384,185,798,692,704"),  # the series alone
+    (25, 65536, "1,052,165"),  # the circuit's 2^26 registers: 2^25 <= 65536^2 / 128
+    (40, 46182, "1,025"),  # the convolution's four series
+])
+def test_table_past_the_memory_bound_is_refused_before_any_build(monkeypatch, k, n, mib):
     built = []
-    monkeypatch.setattr(counting, "CountTable", lambda k, n: built.append((k, n)))
-    for n in (counting.MAX_LEAVES + 1, 99999999999):
-        with pytest.raises(ValueError, match=f"n = {n} is past the count-table bound "
-                                             "of 65,536 leaves"):
-            counting.table(1, n)
-    assert built == []
-
-
-def test_cached_tables_stay_within_the_leaf_bound_together(monkeypatch):
     monkeypatch.setattr(counting, "_tables", {})
-    monkeypatch.setattr(counting, "MAX_LEAVES", 100)  # tables of n_max^2 <= 10,000 in all
-    counting.table(3, 60)
-    counting.table(4, 60)
-    assert set(counting._tables) == {3, 4}  # 3,600 + 3,600
+    monkeypatch.setattr(counting, "CountTable", lambda k, n: built.append((k, n)))
+    with pytest.raises(ValueError, match=f"the count table for k = {k} up to n = {n} leaves "
+                                         f"takes up to {mib} MiB to build, past the bound "
+                                         "of 1,024 MiB"):
+        counting.table(k, n)
+    assert built == []
+    counting.table(40, 46181)  # the largest convolved table that fits
+    assert built == [(40, 46181)]
+
+
+def test_cached_tables_stay_within_the_bound_together(monkeypatch):
+    monkeypatch.setattr(counting, "_tables", {})
+    monkeypatch.setattr(counting, "MAX_MIB", 1)  # 8,388,608 bits
+    n_max = lambda: {k: t.n_max for k, t in counting._tables.items()}
+    counting.table(3, 1200)
+    counting.table(4, 1200)
+    assert n_max() == {3: 1200, 4: 1200}  # keeping 2 n (n + 320) = 3,648,000 bits each
     counting.table(3, 10)  # touch 3, so 4 is the least recently used
-    counting.table(5, 80)  # 6,400 fits beside one table of 60 leaves only
-    assert {k: t.n_max for k, t in counting._tables.items()} == {3: 60, 5: 80}
-    assert counting.table(5, 90).n_max == 100  # regrown at 2 n_max, within the bound
-    assert {k: t.n_max for k, t in counting._tables.items()} == {5: 100}
-    with pytest.raises(ValueError, match="bound of 100 leaves"):
-        counting.table(3, 101)
+    counting.table(5, 1300)  # its build, 4,398,880 bits, fits beside one of them only
+    assert n_max() == {3: 1200, 5: 1300}
+    counting.table(5, 1400)  # 2 n_max = 2600 would not fit; 1400 fits alone
+    assert n_max() == {5: 1400}
+    counting.table(6, 500)
+    counting.table(6, 501)  # regrown at 2 n_max, which fits beside 1400
+    assert n_max() == {5: 1400, 6: 1000}
+    for k, n, mib in ((3, 2100, 2), (12, 1000, 3)):  # the series; the circuit's registers
+        with pytest.raises(ValueError, match=f"takes up to {mib} MiB to build, past the "
+                                             "bound of 1 MiB"):
+            counting.table(k, n)
 
 
 def test_cached_tables_hold_only_their_series(monkeypatch):
