@@ -244,12 +244,14 @@ class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_
 
 
 def exact_str(x) -> str:
-    """str(x) of a nonnegative int or Fraction of any size: str() refuses
-    more digits than a limit (4300 by default, 640 at least), so integers
-    past 600 digits are rendered in halves."""
+    """str(x) of an int or Fraction of any size: str() refuses more digits
+    than a limit (4300 by default, 640 at least), so integers past 600
+    digits are rendered in halves."""
     if not isinstance(x, int):
         return exact_str(x.numerator) + ("" if x.denominator == 1
                                          else "/" + exact_str(x.denominator))
+    if x < 0:
+        return "-" + exact_str(-x)
     if x < 10 ** 600:
         return str(x)
     half = x.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3

@@ -18,6 +18,7 @@ from .cayley import (
     DEFAULT_BUDGET,
     ball,
     boundary_report,
+    exact_str,
     load_automaton,
     load_json,
     make_alphabet,
@@ -91,7 +92,8 @@ def cmd_bb(args) -> int:
                 raise ValueError(f"{flag} needs --mode enumerate")
         from . import counting
 
-        rec = counting.density_report(args.n, args.k, alphabet.symbols)
+        rec = counting.density_report(counting.table(args.k, args.n), args.n,
+                                      alphabet.symbols)
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
         return EXIT_OK
@@ -143,7 +145,7 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
 
         from . import counting
 
-        # each worker caches its own tables, so each gets a share of the bound
+        # each worker builds its own table, so each gets a share of the bound
         with cf.ProcessPoolExecutor(max_workers=workers, initializer=_set_table_bound,
                                     initargs=(counting.MAX_MIB // workers,)) as pool:
             return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
@@ -161,8 +163,8 @@ def _sweep_k(job):
 
     k, n_values, specs = job
     symbols = [make_alphabet(spec).symbols for spec in specs]
-    counting.table(k, max(n_values))  # one table per cap, built for the largest n
-    return [counting.density_report(n, k, syms) for n in n_values for syms in symbols]
+    t = counting.table(k, max(n_values))  # one table per cap, built for the largest n
+    return [counting.density_report(t, n, syms) for n in n_values for syms in symbols]
 
 
 def _sweep_csv(records, path) -> None:
@@ -240,7 +242,7 @@ def cmd_certify(args) -> int:
     obj = {"command": "certify", "automaton": args.automaton,
            "cert": args.cert, "accepted": verdict.accepted,
            "failures": list(verdict.failures),
-           "bound": str(verdict.bound) if verdict.bound is not None else None,
+           "bound": exact_str(verdict.bound) if verdict.bound is not None else None,
            "inequality_holds": verdict.inequality_holds}
     _write_json(obj, args.out, args.no_timestamp)
     return EXIT_OK if verdict.accepted else EXIT_REJECTED

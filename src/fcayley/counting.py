@@ -8,37 +8,38 @@ f_(k-1) through T = f_(k-1) F (f = x + f_(k-1)^2 counts trees of height <= k):
 
 Every count is an O(n) sum read off F or G, with S = F^2 (pairs of forests;
 M = S - F = f S counts marked forests) and h = f - x = f_(k-1)^2 (two
-adjacent trees of height < k), so h F = F - 1 - x F:
+adjacent trees of height < k):
 
   quantity                 value
   |BB(n, k)|               M[n] = S[n] - F[n],  S[m] = sum F[i] F[m-i]
   nu(x0), nu(x0^-1)        F[n]
   nu(x1), nu(xb1)          S[n-1]
-  nu(x1^-1), nu(xb1^-1)    M[n] - [x^n] h S,    [x^n] h S = sum (hF)[i] F[n-i]
+  nu(x1^-1), nu(xb1^-1)    M[n] - [x^n] h S = S[n-1]
   nu(x2)                   F[n] + M[n-1]
-  nu(x2^-1)                M[n] - [x^n] h M,    [x^n] h M = [x^n] h S - (hF)[n]
+  nu(x2^-1)                M[n] - [x^n] h M = F[n] + S[n-1] - F[n-1]
   |Y0(n, k)|               [x^(n-1)] G^2 = sum G[i] G[n-1-i]
   xi_k(n)                  M[n-1] / M[n]
 
-As h = f - x, [x^n] h S = M[n] - S[n-1]: nu(a) = nu(a^-1) on DP rows is an
-identity of the DP, not a check of it; the tests check the counts against
-enumeration and full-array reference series.  A table is built once, up to
-its n_max; the shared cache rebuilds it, never grows it, when n outgrows it,
-and refuses a table whose build, with the tables it keeps, would pass MAX_MIB.
-A table with 2^k <= n_max^2/128, the measured crossover, runs the squaring
-circuit of f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k
-delays, each fed its parent's input or its left sibling's output, and
-2^k - 1 big-integer additions per coefficient; its registers live only while
-the table is built.  Above that cap it convolves with f_(k-1) (at most
-2^(k-1) leaves), O(n min(n, 2^k)) products in all.  A count costs O(n);
-ratios are exact Fractions, and decimals appear only in rendered output.
+As h = f - x, [x^n] h S = M[n] - S[n-1] and [x^n] h F = F[n] - F[n-1]:
+nu(a) = nu(a^-1) on DP rows is an identity of the DP, not a check of it;
+the tests check the counts against enumeration and full-array reference
+series.  The request that reads a table builds it once, up to the largest
+n it reads, and passes it to every record it reads off it; `table` refuses
+a build that would pass MAX_MIB.  A table with 2^k <= n_max^2/128, the
+measured crossover, runs the squaring circuit of
+f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k delays,
+each fed its parent's input or its left sibling's output, and 2^k - 1
+big-integer additions per coefficient; its registers live only while the
+table is built.  Above that cap it convolves with f_(k-1) (at most 2^(k-1)
+leaves), O(n min(n, 2^k)) products in all.  A count costs O(n); ratios are
+exact Fractions, and decimals appear only in rendered output.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 
 from .cayley import INV, base_symbol, exact_str, rational_fields
 
@@ -79,7 +80,6 @@ class CountTable:
         if k < 0:
             raise ValueError("k must be nonnegative")
         self.k, self.F, self.G = k, [1], [0]
-        self._S: dict[int, int] = {}  # S[m] read so far
         F, G = self.F, self.G
         if _circuit(k, n_max):
             R = [1] + [0] * ((1 << k) - 1)  # circuit registers, the inputs of the delays
@@ -106,18 +106,19 @@ class CountTable:
 
     def S(self, m: int) -> int:
         """S[m] = [x^m] F^2: ordered pairs of forests with m leaves in all."""
-        if m not in self._S:
-            self._S[m] = _square_coef(self.F, m)
-        return self._S[m]
+        return _square_coef(self.F, m)
 
     def marked(self, n: int) -> int:
         """M[n] = S[n] - F[n] = |BB(n, k)|."""
         return self.S(n) - self.F[n]
 
+    def y0(self, n: int) -> int:
+        """|Y0(n, k)| = [x^(n-1)] G^2: a marked trivial tree between two trees
+        of height exactly k (none for k = 0)."""
+        return _square_coef(self.G, n - 1) if self.k else 0
 
-TABLES_KEPT = 16  # height caps whose tables stay cached
-MAX_MIB = 1024  # the cached tables and the one being built hold at most this together
-_tables: dict[int, CountTable] = {}  # least recently used first
+
+MAX_MIB = 1024  # a table holds at most this while it is built
 
 
 def _circuit(k: int, n_max: int) -> bool:
@@ -126,91 +127,39 @@ def _circuit(k: int, n_max: int) -> bool:
     return 0 <= k < (n_max * n_max >> 7).bit_length()
 
 
-# F[i], G[i], T[i], f_(k-1)[i] and every circuit register count at most 4^i
-# forests, 2i bits, and each entry costs about 320 bits more as an object
-def _kept_bits(n: int) -> int:
-    """Bits a table up to n leaves keeps: F and G."""
-    return 2 * n * (n + 320)
-
-
 def _build_bits(k: int, n: int) -> int:
     """Bits a table up to n leaves holds while built: F and G, and either T
     and f_(k-1) or the circuit's registers and their successors, 2^(k+1)
-    entries of at most 2n bits."""
+    entries.  Every entry counts at most 4^i forests, 2i <= 2n bits, and
+    costs about 320 bits more as an object."""
+    series = 2 * n * (n + 320)  # F and G
     if _circuit(k, n):
-        return _kept_bits(n) + (2 << k) * (2 * n + 320)
-    return 2 * _kept_bits(n)
+        return series + (2 << k) * (2 * n + 320)
+    return 2 * series
 
 
 def table(k: int, n: int) -> CountTable:
-    """Shared table for a height cap and n >= 1 leaves, rebuilt at
-    max(n, 2 n_max), if that fits the bound, when n outgrows it."""
+    """A new count table for a height cap up to n >= 1 leaves, refused before
+    it is built when its build would pass MAX_MIB."""
     if n < 1:
         raise ValueError("n must be positive")
-    bound = MAX_MIB << 23
-    t = _tables.pop(k, None)
-    if t is None or t.n_max < n:
-        if t is not None and _build_bits(k, 2 * t.n_max) <= bound:
-            n = max(n, 2 * t.n_max)
-        del t  # the outgrown table goes first; then the least recently used
-        bits = _build_bits(k, n)
-        if bits > bound:
-            raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
-                             f"up to {-(-bits >> 23):,} MiB to build, past the bound "
-                             f"of {MAX_MIB:,} MiB")
-        while len(_tables) >= TABLES_KEPT or bits + sum(
-                _kept_bits(u.n_max) for u in _tables.values()) > bound:
-            del _tables[next(iter(_tables))]
-        t = CountTable(k, n)
-    _tables[k] = t
-    return t
+    bits = _build_bits(k, n)
+    if bits > MAX_MIB << 23:
+        raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
+                         f"up to {-(-bits >> 23):,} MiB to build, past the bound "
+                         f"of {MAX_MIB:,} MiB")
+    return CountTable(k, n)
 
 
 def bb_count(n: int, k: int) -> int:
-    """|BB(n, k)| as an exact integer."""
+    """|BB(n, k)| as an exact integer, off a table built for it."""
     return table(k, n).marked(n)
 
 
-def y0_count(n: int, k: int) -> int:
-    """|Y0(n, k)|: a marked trivial tree between two trees of height exactly k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k < 1:
-        return 0
-    return _square_coef(table(k, n).G, n - 1)
-
-
-def p_fraction(n: int, k: int) -> Fraction:
-    """p = |Y0| / |BB(n, k)|."""
-    return Fraction(y0_count(n, k), bb_count(n, k))
-
-
 def nu_counts(n: int, k: int, symbols) -> dict[str, int]:
-    """Exact per-letter counts of vertices of BB(n, k) not accepting the letter.
-
-    Each count follows the acceptance rule of its own letter; as h = f - x,
-    the counts of a and a^-1 agree by an identity of the DP.
-    """
-    t = table(k, n)
-    F, S1, M = t.F, t.S(n - 1), t.marked(n)
-    hF = list(map(sub, F[1:n + 1], F[:n]))  # (hF)[1..n], h F = F - 1 - x F
-    hS = sum(map(mul, hF, reversed(F[:n])))
-    by_base = {
-        # marker leftmost / rightmost
-        "x0": (F[n], F[n]),
-        # marked tree trivial / no right neighbour to merge with
-        "x1": (S1, M - hS),
-        # no or a trivial right neighbour / no two right neighbours to merge
-        "x2": (F[n] + S1 - F[n - 1], M - hS + hF[-1]),
-    }
-    by_base["xb1"] = by_base["x1"]
-    out: dict[str, int] = {}
-    for sym in symbols:
-        base = base_symbol(sym)
-        if base not in by_base:
-            raise ValueError(f"unsupported letter {sym!r}")
-        out[sym], out[sym + INV] = by_base[base]
-    return out
+    """Exact per-letter counts of vertices of BB(n, k) not accepting the
+    letter, off a table built for them."""
+    return density_report(table(k, n), n, symbols).nu
 
 
 class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density iota p xi")):
@@ -229,32 +178,39 @@ class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density io
         }
 
 
-def density_report(n: int, k: int, symbols) -> DensityRecord:
-    """Density, isoperimetric quotient and per-letter boundary counts via DP."""
+def density_report(t: CountTable, n: int, symbols) -> DensityRecord:
+    """Density, isoperimetric quotient, per-letter boundary counts, p =
+    |Y0| / |BB(n, k)| and xi_k(n) of BB(n, k), k = t.k, off a table built up
+    to at least n leaves."""
+    if not 1 <= n <= t.n_max:
+        raise ValueError(f"n = {n} is outside the table's 1..{t.n_max} leaves")
     symbols = tuple(symbols)
+    F, size, s1 = t.F, t.marked(n), t.S(n - 1)
+    by_base = {  # a letter's count; its inverse's agrees by the identities above
+        "x0": F[n],  # marker leftmost / rightmost
+        "x1": s1,  # marked tree trivial / no right neighbour to merge with
+        "xb1": s1,  # the same, with the left neighbour
+        "x2": F[n] + s1 - F[n - 1],  # no or a trivial right neighbour / no two to merge
+    }
+    nu: dict[str, int] = {}
+    for sym in symbols:
+        base = base_symbol(sym)
+        if base not in by_base:
+            raise ValueError(f"unsupported letter {sym!r}")
+        nu[sym] = nu[sym + INV] = by_base[base]
     m = len(symbols)
-    size = bb_count(n, k)
-    nu = nu_counts(n, k, symbols)
     cheeger = sum(nu.values())
     density = Fraction(2 * m * size - cheeger, size)
     iota = Fraction(cheeger, size)
     if density + iota != 2 * m:
         raise AssertionError(f"delta + iota = {density + iota} != 2m = {2 * m}")
     return DensityRecord(
-        n=n, k=k,
+        n=n, k=t.k,
         alphabet=",".join(base_symbol(s) for s in symbols),
         size=size, nu=nu, density=density, iota=iota,
-        p=p_fraction(n, k),
-        xi=xi_estimate(k, n) if n >= 2 else None,
+        p=Fraction(t.y0(n), size),
+        xi=Fraction(s1 - F[n - 1], size) if n >= 2 else None,
     )
-
-
-def xi_estimate(k: int, n: int) -> Fraction:
-    """|BB(n-1, k)| / |BB(n, k)|, the non-acceptance ratio for x1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    t = table(k, n)
-    return Fraction(t.marked(n - 1), t.marked(n))
 
 
 def catalan(n: int) -> int:

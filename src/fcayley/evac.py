@@ -26,7 +26,7 @@ from array import array
 from collections import deque, namedtuple
 from itertools import compress
 
-from .cayley import Automaton, AutomatonFormatError, GenAlphabet, is_edge_entry
+from .cayley import Automaton, AutomatonFormatError, GenAlphabet, exact_str, is_edge_entry
 
 Edge = tuple[str, str, str]  # (source, letter, target)
 
@@ -297,8 +297,9 @@ def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
             raise AutomatonFormatError(f"flow on non-edge ({u!r}, {a!r}, {w!r})")
         for key, v in ((e, val), (tgt[e] * d + (e + d // 2) % d, -val)):  # and its inverse
             if key in flow and flow[key] != v:
-                raise AutomatonFormatError(f"antisymmetry violation on edge "
-                                           f"{_edge(aut, key)!r}: {flow[key]} vs {v}")
+                raise AutomatonFormatError(
+                    f"antisymmetry violation on edge {_edge(aut, key)!r}: "
+                    f"{exact_str(flow[key])} vs {exact_str(v)}")
             flow[key] = v
     return FlowCertificate(C=_fraction(obj["C"]), eps=_fraction(obj["eps"]), flow=flow,
                            boundary_inflow={v: _fraction(x) for v, x in binflow.items()})
@@ -326,18 +327,18 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
     for e, val in cert.flow.items():
         if abs(val) > cert.C and tgt[e] * d + (e + d // 2) % d not in over:
             over.add(e)
-            failures.append(f"|f| = {abs(val)} > C on edge {_edge(aut, e)!r}")
+            failures.append(f"|f| = {exact_str(abs(val))} > C on edge {_edge(aut, e)!r}")
     for v, val in cert.boundary_inflow.items():
         if v in boundary_slots and boundary_slots[v] > 0 and abs(val) > cert.C * boundary_slots[v]:
             failures.append(
-                f"boundary inflow {val} at {v!r} exceeds C * {boundary_slots[v]} slots")
+                f"boundary inflow {exact_str(val)} at {v!r} exceeds C * {boundary_slots[v]} slots")
     if not failures:
         for i, v in enumerate(keys):
             # the flow into v along an edge is minus the flow on v's own slot
             inflow = cert.boundary_inflow.get(v, 0) - sum(
                 cert.flow.get(e, 0) for e in range(i * d, i * d + d))
             if inflow < cert.eps:
-                failures.append(f"inflow {inflow} < eps at vertex {v!r}")
+                failures.append(f"inflow {exact_str(inflow)} < eps at vertex {v!r}")
     if failures:
         return CertificateVerdict(accepted=False, failures=tuple(failures),
                                   bound=None, inequality_holds=None)

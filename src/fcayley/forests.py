@@ -68,12 +68,6 @@ class TreeTable:
         return out[n]
 
 
-def _move(tt: TreeTable, s: tuple, i: int, step: int):
-    """x0 (step -1) and x0^-1 (step +1): move the marker one tree."""
-    j = i + step
-    return (s, j) if 0 <= j < len(s) else None
-
-
 def _split(tt: TreeTable, s: tuple, i: int, right: int):
     """x1 (right 0) and xb1 (right 1): split the marked caret, mark one child."""
     pair = tt.split[s[i]]
@@ -88,13 +82,16 @@ def _merge(tt: TreeTable, s: tuple, i: int, left: int):
     return None if t is None else (s[:j] + (t,) + s[j + 2:], j)
 
 
-PRIMITIVES = {("x0", 1): (_move, -1), ("x0", -1): (_move, 1),
+# x0 (-1) and x0^-1 (+1) move the marker one tree; bb_automaton builds their
+# columns as ranges, so they carry no function
+PRIMITIVES = {("x0", 1): (None, -1), ("x0", -1): (None, 1),
               ("x1", 1): (_split, 0), ("xb1", 1): (_split, 1),
               ("x1", -1): (_merge, 0), ("xb1", -1): (_merge, 1)}
 
 
 def letter_steps(letter: str) -> tuple:
-    """The primitive steps, as (function, argument) pairs, one letter applies.
+    """The primitive steps, as (function, argument) pairs, one letter applies
+    (the function None for a marker move).
 
     x2 is applied strictly as the composite x0^-1 * x1 * x0 (and its inverse
     as x0^-1 * x1^-1 * x0).
@@ -148,7 +145,7 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         for step, arg in seq:
             if (step, arg) in columns:
                 continue
-            if step is _move:  # x0 moves: v + arg inside each shape
+            if step is None:  # x0 moves: v + arg inside each shape
                 col = array("i", range(arg, total + arg))
                 for s, v in base.items():
                     col[v if arg < 0 else v + len(s) - 1] = -1

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from fcayley.cayley import INV, base_symbol, letter_symbol
-from fcayley.counting import density_report, xi_estimate
+from fcayley.counting import density_report, table
 from tree_pairs import caret, enumerate_trees, parse_tree
 
 
@@ -152,9 +152,10 @@ def is_y0_member(f: MarkedForest, k: int) -> bool:
 
 
 def xi_diagnostics(k: int, n: int) -> dict:
-    """Stabilization report: the last two successive ratios and their gap."""
-    last = xi_estimate(k, n)
-    prev = xi_estimate(k, n - 1)
+    """Stabilization report: the last two successive ratios
+    |BB(m-1, k)| / |BB(m, k)|, m = n and n - 1, and their gap."""
+    t = table(k, n)
+    last, prev = (Fraction(t.marked(m - 1), t.marked(m)) for m in (n, n - 1))
     return {"k": k, "n": n, "xi": last, "xi_prev": prev, "gap": abs(last - prev)}
 
 
@@ -171,7 +172,7 @@ def trimmed_density(n: int, k: int) -> TrimmedReport:
     two inverse slots pointing at them, i.e. 4 directed edges per vertex; no
     two Y0 vertices are adjacent, so there is no double counting.
     """
-    rec = density_report(n, k, ("x0", "x1", "xb1"))
+    rec = density_report(table(k, n), n, ("x0", "x1", "xb1"))
     p = rec.p
     if p == 1:
         raise ValueError("cannot trim: every vertex is isolated")

@@ -114,7 +114,7 @@ def test_criterion_3_dp_enumeration_equivalence(bb_corpus):
         for n, k in BB_GRID:
             members = forest_ref.enumerate_bb(n, k)
             assert counting.bb_count(n, k) == len(members), (n, k)
-            assert counting.y0_count(n, k) == len(forest_ref.find_y0(n, k)), (n, k)
+            assert counting.table(k, n).y0(n) == len(forest_ref.find_y0(n, k)), (n, k)
             dp = counting.nu_counts(n, k, symbols)
             for letter, count in dp.items():
                 rejected = sum(
@@ -123,7 +123,7 @@ def test_criterion_3_dp_enumeration_equivalence(bb_corpus):
         elapsed = time.monotonic() - t0
         assert elapsed < 60, f"oracle equivalence took {elapsed:.1f}s"
 
-    _criterion(3, "bb_count / nu_counts / y0_count match enumeration, n<=8 k<=3", check)
+    _criterion(3, "bb_count / nu_counts / |Y0| match enumeration, n<=8 k<=3", check)
 
 
 def test_criterion_4_density_trend(sweep_rows):
@@ -179,7 +179,7 @@ def test_criterion_6_trimming_pipeline(bb_corpus):
         assert consts["p0"] == Fraction(1, 260)
         assert consts["iota_bound"] == Fraction(517, 518)
         # p is reported exactly, never asserted against 1/260
-        p = counting.p_fraction(60, 4)
+        p = counting.density_report(counting.table(4, 60), 60, ("x0",)).p
         print(f"    p(60, 4) = {p} = {float(p):.3e} (no inequality asserted)")
 
     _criterion(6, "(delta-4p)/(1-p) equals the trimmed automaton exactly; 517/518", check)

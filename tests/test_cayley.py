@@ -256,6 +256,14 @@ def test_restrict_matches_dict_rows(build):
         restrict(aut, [aut.keys[0], "nope"])
 
 
+def test_exact_str_renders_signed_values():
+    for x in (0, 7, -7, Fraction(-1, 3), Fraction(5), Fraction(-10 ** 500, 3)):
+        assert cayley.exact_str(x) == str(x), x
+    big = 10 ** 5000 + 1  # past the str() digit limit
+    for x in (big, Fraction(big, 3), Fraction(7, big)):
+        assert cayley.exact_str(-x) == "-" + cayley.exact_str(x)
+
+
 def test_decimal_str():
     assert decimal_str(Fraction(1, 2)) == "0.5"
     assert decimal_str(Fraction(0)) == "0"

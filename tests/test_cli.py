@@ -272,7 +272,6 @@ def test_sweep_builds_one_table_per_cap(monkeypatch):
             built.append((k, n_max))
             super().__init__(k, n_max)
 
-    monkeypatch.setattr(counting, "_tables", {})
     monkeypatch.setattr(counting, "CountTable", Spy)
     assert run(["sweep", "--k", "0:6", "--n", "1:40,300",
                 "--out", os.devnull]) == EXIT_OK
@@ -363,11 +362,9 @@ def test_sweep_workers_clamped(monkeypatch):
 def test_sweep_workers_share_the_table_bound(monkeypatch):
     from fcayley import counting
 
-    monkeypatch.setattr(counting, "_tables", {})
     monkeypatch.setattr(counting, "MAX_MIB", 2)
     # a table of 2,100 leaves takes 2 MiB to build: within the bound, past half of it
     assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
-    monkeypatch.setattr(counting, "_tables", {})
     with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
         sweep_records([2, 3], [2100], ["x0"], threads=2)
 
@@ -460,12 +457,9 @@ def test_bb_count_mode_with_unbinding_height_cap(tmp_path):
     assert all(rec == records[0] for rec in records)
 
 
-def test_bb_count_mode_above_the_circuit_cap_makes_no_register_list(tmp_path, monkeypatch):
+def test_bb_count_mode_above_the_circuit_cap_makes_no_register_list(tmp_path):
     import tracemalloc
 
-    from fcayley import counting
-
-    monkeypatch.setattr(counting, "_tables", {})
     tracemalloc.start()
     try:
         assert run(["bb", "--n", "900", "--k", "20", "--mode", "count",
@@ -477,12 +471,11 @@ def test_bb_count_mode_above_the_circuit_cap_makes_no_register_list(tmp_path, mo
     assert peak < 4 * 2 ** 20, peak
 
 
-def test_bb_count_mode_with_unbinding_cap_is_fast(tmp_path, monkeypatch):
+def test_bb_count_mode_with_unbinding_cap_is_fast(tmp_path):
     import time
 
     from fcayley import counting
 
-    monkeypatch.setattr(counting, "_tables", {})
     start = time.perf_counter()
     assert run(["bb", "--n", "400", "--k", "1000", "--mode", "count",
                 "--out", str(tmp_path / "rec.json"), "--no-timestamp"]) == EXIT_OK
@@ -528,16 +521,69 @@ def test_counts_past_the_str_limit_render(tmp_path):
         obj[f] for f in ("delta", "iota", "p", "xi")]
 
 
-def test_bb_count_mode_past_the_str_limit(tmp_path, monkeypatch):
+def test_bb_count_mode_past_the_str_limit(tmp_path):
     from fcayley import counting
 
-    monkeypatch.setattr(counting, "_tables", {})
     out = tmp_path / "rec.json"
     assert run(["bb", "--n", "12000", "--k", "3", "--mode", "count",
                 "--out", str(out), "--no-timestamp"]) == EXIT_OK
     size = read_json(out)["record"]["size"]
     assert len(size) > 4300
     assert digits_value(size) == counting.bb_count(12000, 3)
+
+
+def rational_value(text: str):
+    """The Fraction a rendered "[-]p[/q]" spells, read by digits_value."""
+    from fractions import Fraction
+
+    num, _, den = text.lstrip("-").partition("/")
+    return Fraction((-1 if text.startswith("-") else 1) * digits_value(num),
+                    digits_value(den or "1"))
+
+
+def test_certify_accepts_with_numbers_past_the_str_limit(tmp_path):
+    from fractions import Fraction
+
+    A = 10 ** 4000
+    aut_path, cert_path, out = (tmp_path / name for name in ("one.json", "cert.json", "v.json"))
+    aut_path.write_text(json.dumps({"alphabet": ["a"], "vertices": ["v"], "edges": []}))
+    cert_path.write_text(json.dumps({"C": str(A + 7), "eps": f"1/{A + 3}",
+                                     "boundary_inflows": {"v": 1}}))
+    assert run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path),
+                "--out", str(out), "--no-timestamp"]) == EXIT_OK
+    obj = read_json(out)
+    assert obj["accepted"] is True and obj["inequality_holds"] is True
+    assert rational_value(obj["bound"]) == Fraction(1, (A + 3) * (A + 7))
+
+
+def test_certify_rejects_with_numbers_past_the_str_limit(tmp_path, capsys):
+    from fractions import Fraction
+
+    B = 10 ** 3000
+    aut_path, cert_path, out = (tmp_path / name for name in ("uv.json", "cert.json", "v.json"))
+    aut_path.write_text(json.dumps({"alphabet": ["a"], "vertices": ["u", "v"],
+                                    "edges": [["u", "a", "v"]]}))
+    args = ["certify", "--automaton", str(aut_path), "--cert", str(cert_path),
+            "--out", str(out), "--no-timestamp"]
+    f, b = Fraction(-1, B + 1), Fraction(1, B + 3)
+    cert = {"C": 1, "eps": 1, "flow": [["u", "a", "v", str(f)]], "boundary_inflows": {"u": str(b)}}
+    cert_path.write_text(json.dumps(cert))
+    assert run(args) == EXIT_REJECTED
+    words = [text.split() for text in read_json(out)["failures"]]
+    # u takes b - f, below eps; v takes f
+    assert [(w[0], rational_value(w[1]), w[-1]) for w in words] == [
+        ("inflow", b - f, "'u'"), ("inflow", f, "'v'")]
+    cert_path.write_text(json.dumps(dict(cert, C=f"1/{B + 5}")))
+    assert run(args) == EXIT_REJECTED
+    words = [text.split() for text in read_json(out)["failures"]]
+    # |f| and the inflow at u's one boundary slot both exceed C
+    assert [(w[:2], rational_value(w[2])) for w in words] == [
+        (["|f|", "="], -f), (["boundary", "inflow"], b)]
+    cert_path.write_text(json.dumps(dict(cert, flow=cert["flow"] + [["v", "a^-1", "u", str(f)]])))
+    assert run(args) == EXIT_VALIDATION
+    words = capsys.readouterr().err.split()
+    assert words[:4] == ["error:", "antisymmetry", "violation", "on"]
+    assert [rational_value(words[-3]), words[-2], rational_value(words[-1])] == [-f, "vs", f]
 
 
 def test_sweep_csv_has_a_column_for_every_letter(tmp_path):
@@ -675,7 +721,8 @@ def test_evac_and_certify_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
-    # sha256 of a sweep over every small height cap, a regrown table (n = 300)
+    # sha256 of a sweep over every small height cap, records read off a table built
+    # for a larger n (n = 1..40 off the table for n = 300)
     # and a multiset alphabet with all four letters; the bytes must not change
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--k", "0:6", "--n", "1:40,300",

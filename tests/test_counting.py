@@ -12,10 +12,8 @@ from fcayley.counting import (
     catalan,
     density_report,
     nu_counts,
-    p_fraction,
+    table,
     tree_counts,
-    xi_estimate,
-    y0_count,
 )
 from forest_ref import trimmed_density, trimming_constants, xi_diagnostics
 from cayley_ref import restrict
@@ -61,16 +59,16 @@ def test_unbinding_cap_takes_the_catalan_numbers():
 
 
 def test_density_report_squares_each_value_once(monkeypatch):
-    monkeypatch.setattr(counting, "_tables", {})
-    t = counting.table(3, 40)
+    t = table(3, 40)
     squares = []
     square = counting._square_coef
     monkeypatch.setattr(counting, "_square_coef",
                         lambda P, m: squares.append((P is t.F, m)) or square(P, m))
     for symbols in (("x0", "x1", "xb1", "x2"), ("x0", "x1")):
-        density_report(40, 3, symbols)
-    # S[40] and S[39] once for both records; [x^39] G^2 (|Y0|) once per record
-    assert sorted(squares) == [(False, 39), (False, 39), (True, 39), (True, 40)]
+        squares.clear()
+        density_report(t, 40, symbols)
+        # S[40], S[39] and [x^39] G^2 (|Y0|) once each
+        assert sorted(squares) == [(False, 39), (True, 39), (True, 40)], symbols
 
 
 def test_tree_counts_monotone_in_k():
@@ -184,7 +182,6 @@ def test_regime_rule_is_the_measured_crossover(monkeypatch):
 ])
 def test_table_past_the_memory_bound_is_refused_before_any_build(monkeypatch, k, n, mib):
     built = []
-    monkeypatch.setattr(counting, "_tables", {})
     monkeypatch.setattr(counting, "CountTable", lambda k, n: built.append((k, n)))
     with pytest.raises(ValueError, match=f"the count table for k = {k} up to n = {n} leaves "
                                          f"takes up to {mib} MiB to build, past the bound "
@@ -195,51 +192,60 @@ def test_table_past_the_memory_bound_is_refused_before_any_build(monkeypatch, k,
     assert built == [(40, 46181)]
 
 
-def test_cached_tables_stay_within_the_bound_together(monkeypatch):
-    monkeypatch.setattr(counting, "_tables", {})
+@pytest.mark.parametrize("k,n,mib", [
+    (3, 2100, 2),  # F and G alone, 2 n (n + 320) bits
+    (12, 1000, 3),  # the circuit's 2^13 registers
+])
+def test_table_past_a_lowered_bound_is_refused(monkeypatch, k, n, mib):
     monkeypatch.setattr(counting, "MAX_MIB", 1)  # 8,388,608 bits
-    n_max = lambda: {k: t.n_max for k, t in counting._tables.items()}
-    counting.table(3, 1200)
-    counting.table(4, 1200)
-    assert n_max() == {3: 1200, 4: 1200}  # keeping 2 n (n + 320) = 3,648,000 bits each
-    counting.table(3, 10)  # touch 3, so 4 is the least recently used
-    counting.table(5, 1300)  # its build, 4,398,880 bits, fits beside one of them only
-    assert n_max() == {3: 1200, 5: 1300}
-    counting.table(5, 1400)  # 2 n_max = 2600 would not fit; 1400 fits alone
-    assert n_max() == {5: 1400}
-    counting.table(6, 500)
-    counting.table(6, 501)  # regrown at 2 n_max, which fits beside 1400
-    assert n_max() == {5: 1400, 6: 1000}
-    for k, n, mib in ((3, 2100, 2), (12, 1000, 3)):  # the series; the circuit's registers
-        with pytest.raises(ValueError, match=f"takes up to {mib} MiB to build, past the "
-                                             "bound of 1 MiB"):
-            counting.table(k, n)
+    with pytest.raises(ValueError, match=f"takes up to {mib} MiB to build, past the "
+                                         "bound of 1 MiB"):
+        table(k, n)
+    assert table(k, n // 2).n_max == n // 2
 
 
-def test_cached_tables_hold_only_their_series(monkeypatch):
-    monkeypatch.setattr(counting, "_tables", {})
+def test_cached_tables_hold_only_their_series():
     for k in (10, 11, 12):  # all three run the circuit at 900 leaves
-        counting.table(k, 900)
-    for k, t in counting._tables.items():
-        lists = [v for v in vars(t).values() if isinstance(v, list)]
-        assert len(lists) == 2 and all(len(v) == t.n_max + 1 == 901 for v in lists), k
+        t = table(k, 900)
+        assert vars(t).keys() == {"k", "F", "G", "n_max"}, k
+        assert len(t.F) == len(t.G) == t.n_max + 1 == 901, k
 
 
 def test_counts_match_full_array_reference():
     N = 120
     for k in range(0, 9):
         F, S, M, ax1, ax2, y0 = _reference(k, N)
+        t = table(k, N)  # every n reads the one table
         for n in range(1, N + 1):
-            assert bb_count(n, k) == M[n], (n, k)
-            assert y0_count(n, k) == y0[n - 1], (n, k)
-            assert nu_counts(n, k, ("x0", "x1", "xb1", "x2")) == {
+            rec = density_report(t, n, ("x0", "x1", "xb1", "x2"))
+            assert rec.size == t.marked(n) == M[n], (n, k)
+            assert t.y0(n) == y0[n - 1], (n, k)
+            assert rec.p == Fraction(y0[n - 1], M[n]), (n, k)
+            assert rec.nu == {
                 "x0": F[n], "x0^-1": F[n],
                 "x1": S[n - 1], "x1^-1": M[n] - ax1[n],
                 "xb1": S[n - 1], "xb1^-1": M[n] - ax1[n],
                 "x2": F[n] + M[n - 1], "x2^-1": M[n] - ax2[n],
             }, (n, k)
-            if n >= 2:
-                assert xi_estimate(k, n) == Fraction(M[n - 1], M[n]), (n, k)
+            assert rec.xi == (Fraction(M[n - 1], M[n]) if n >= 2 else None), (n, k)
+
+
+@pytest.mark.parametrize("k,n_max,n", [
+    (9, 300, 100),  # 2^9 <= 300^2 / 128: the circuit; above 100^2 / 128: convolution
+    (9, 300, 1),  # xi is None at n = 1
+    (0, 40, 1),
+    (3, 90, 57),
+])
+def test_record_off_a_larger_table_equals_the_record_at_n(k, n_max, n):
+    symbols = ("x0", "x1", "xb1", "x2")
+    big, own = table(k, n_max), table(k, n)
+    assert big.n_max == n_max and own.n_max == n
+    rec = density_report(big, n, symbols)
+    assert rec == density_report(own, n, symbols)
+    assert (rec.xi is None) == (n == 1)
+    for m in (0, n_max + 1):
+        with pytest.raises(ValueError, match=f"n = {m} is outside the table's 1..{n_max} leaves"):
+            density_report(big, m, symbols)
 
 
 def test_dp_equals_enumeration_full_grid():
@@ -247,7 +253,7 @@ def test_dp_equals_enumeration_full_grid():
     for n, k in itertools.product(range(1, 9), range(0, 4)):
         members = forest_ref.enumerate_bb(n, k)
         assert bb_count(n, k) == len(members)
-        assert y0_count(n, k) == len(forest_ref.find_y0(n, k))
+        assert table(k, n).y0(n) == len(forest_ref.find_y0(n, k))
         dp = nu_counts(n, k, symbols)
         for letter, count in dp.items():
             rejected = sum(1 for f in members if forest_ref.act(letter, f, k) is None)
@@ -280,26 +286,29 @@ def test_nu_rejects_unknown():
 
 
 def test_y0_examples():
-    assert y0_count(5, 1) == 1
-    assert y0_count(4, 1) == 0  # needs two height-1 neighbours plus the marked dot
+    assert table(1, 5).y0(5) == 1
+    assert table(1, 4).y0(4) == 0  # needs two height-1 neighbours plus the marked dot
+    t = table(0, 8)
     for n in range(1, 9):
-        assert y0_count(n, 0) == 0
+        assert t.y0(n) == 0
 
 
 def test_density_report_identity_and_fields():
-    rec = density_report(6, 2, ("x0", "x1", "xb1"))
+    t = table(2, 6)
+    rec = density_report(t, 6, ("x0", "x1", "xb1"))
     assert rec.density + rec.iota == 6
-    assert rec.size == bb_count(6, 2)
-    assert rec.p == p_fraction(6, 2)
-    assert rec.xi == xi_estimate(2, 6)
+    assert rec.size == bb_count(6, 2) == t.marked(6)
+    assert rec.p == Fraction(t.y0(6), t.marked(6))
+    assert rec.xi == Fraction(t.marked(5), t.marked(6))
     obj = rec.as_obj()
     assert obj["delta"] == str(rec.density)
     assert Fraction(obj["iota"]) == rec.iota
 
 
 def test_xi_k0_is_harmonic():
+    t = table(0, 11)
     for n in range(2, 12):
-        assert xi_estimate(0, n) == Fraction(n - 1, n)
+        assert density_report(t, n, ("x0",)).xi == Fraction(n - 1, n)
 
 
 def test_xi_diagnostics_shrink():
@@ -310,7 +319,7 @@ def test_xi_diagnostics_shrink():
 
 
 def test_xi_decreasing_in_k():
-    values = [xi_estimate(k, 400) for k in range(2, 7)]
+    values = [density_report(table(k, 400), 400, ("x0",)).xi for k in range(2, 7)]
     for a, b in zip(values, values[1:]):
         assert b < a
     assert all(v > Fraction(1, 4) for v in values)
@@ -328,7 +337,7 @@ def test_trimmed_density_matches_explicit_removal():
 
 
 def test_trimmed_density_reduces_to_delta_without_y0():
-    tr = trimmed_density(4, 1)  # y0_count(4,1) = 0
+    tr = trimmed_density(4, 1)  # |Y0(4, 1)| = 0
     assert tr.p == 0
     assert tr.trimmed_density == tr.density
     assert tr.iota_star_bound == 6 - tr.density
@@ -344,34 +353,12 @@ def test_trimming_constants():
     assert other["iota_bound"] == 1 - Fraction(1, 20) / Fraction(9, 10)
 
 
-def test_table_cache_growth():
-    t1 = counting.table(1, 10)
-    before = [(t1.F[n], t1.G[n], t1.S(n), t1.marked(n)) for n in range(11)]
-    t2 = counting.table(1, 500)
-    assert t2.n_max >= 500
-    assert [(t2.F[n], t2.G[n], t2.S(n), t2.marked(n)) for n in range(11)] == before
-    assert counting.table(1, 400) is t2  # no rebuild below the budget
-
-
-def test_rebuilt_table_equals_fresh_table(monkeypatch):
-    monkeypatch.setattr(counting, "_tables", {})
+def test_rebuilt_table_equals_fresh_table():
     for k in (0, 1, 3, 6, 8, 10, 50):
-        old = counting.table(k, 1)
-        for n_max in (2, 5, 37, 100):  # each at least twice the last, so built at n_max
-            t = counting.table(k, n_max)
+        old = table(k, 1)
+        for n_max in (2, 5, 37, 100, 100):  # every call builds a new table
+            t = table(k, n_max)
             fresh = CountTable(k, n_max)
             assert t is not old and t.n_max == fresh.n_max == n_max
             assert (t.F, t.G) == (fresh.F, fresh.G), (k, n_max)
             old = t
-
-
-def test_table_cache_is_bounded():
-    kept = counting.TABLES_KEPT
-    for k in range(kept + 5):
-        counting.table(k, 8)
-    assert len(counting._tables) == kept
-    assert set(counting._tables) == set(range(5, kept + 5))
-    counting.table(5, 8)  # touch the oldest, so the next one evicts k = 6
-    counting.table(kept + 5, 8)
-    assert 5 in counting._tables and 6 not in counting._tables
-    assert len(counting._tables) == kept
