@@ -9,12 +9,14 @@ Letters are strings: a positive letter is its symbol name, the inverse
 carries the suffix "^-1".  A multiset alphabet uses distinct symbol names
 bound to equal group values (e.g. "x0" and "x0@2").
 
-Vertex core.  An automaton is the sorted tuple `keys` (vertex i is keys[i])
-and one flat array `tgt`: tgt[i * 2m + j] is the vertex that slot j of
-vertex i targets, or -1 for a boundary slot, slots in `letters()` order, so
-slot (j + m) mod 2m is the inverse of slot j.  Builders, the Serre check,
-reports, the evacuation helpers and the file writer work on these integers;
-key strings are rendered once per vertex, and `slots` rows only for tests and tools.
+Vertex core.  An automaton is the tuple `keys` (vertex i is keys[i]), in
+the order its builder or file gives, and one flat array `tgt`:
+tgt[i * 2m + j] is the vertex that slot j of vertex i targets, or -1 for a
+boundary slot, slots in `letters()` order, so slot (j + m) mod 2m is the
+inverse of slot j.  Builders, the Serre check, reports, the evacuation
+helpers and the file writer work on these integers; key strings are
+rendered once per vertex, and `slots` rows only for tests and tools.  Only
+the file writer orders vertices by key.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from array import array
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress, islice
-from operator import ge, ne
+from operator import ne
 from types import MappingProxyType
 
 from . import fgroup
@@ -141,22 +143,10 @@ class Automaton:
 
     def __init__(self, alphabet: GenAlphabet, keys: list[str], tgt: array,
                  outer: frozenset[str] | None = None):
-        """Automaton from distinct keys in any order and their target rows
-        (`tgt` as in the module docstring, indexed by position in `keys`)."""
+        """Automaton from distinct keys, numbered in the order given, and their
+        target rows (`tgt` as in the module docstring)."""
         if not keys:
             raise ValueError("automaton must be nonempty")
-        d = 2 * alphabet.m
-        if any(map(ge, keys, keys[1:])):  # sort, and renumber the targets
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            rank = [0] * (len(keys) + 1)  # rank[-1] = -1 keeps boundary slots
-            for r, i in enumerate(order):
-                rank[i] = r
-            rank[-1] = -1
-            keys = [keys[i] for i in order]
-            old, tgt = tgt, array("i", bytes(4 * len(tgt)))
-            for j in range(d):
-                col = old[j::d]
-                tgt[j::d] = array("i", map(rank.__getitem__, map(col.__getitem__, order)))
         self.alphabet, self.keys, self.tgt, self.outer = alphabet, tuple(keys), tgt, outer
         self._check_serre()
 
@@ -211,17 +201,6 @@ class Automaton:
         """All accepted directed edges as (source, letter, target) triples."""
         keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
         return [(keys[e // d], letters[e % d], keys[w]) for e, w in enumerate(self.tgt) if w >= 0]
-
-    def sorted_edges(self):
-        """Geometric edges as (source, letter, target) numbers, ordered as
-        their key triples: keys are sorted and a slot has one target."""
-        symbols, d, tgt = self.alphabet.symbols, 2 * self.alphabet.m, self.tgt
-        cols = sorted(range(len(symbols)), key=symbols.__getitem__)
-        for v in range(len(self.keys)):
-            for j in cols:
-                w = tgt[v * d + j]
-                if w >= 0:
-                    yield v, j, w
 
 
 class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_boundary "
@@ -305,36 +284,44 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
 def ball(r: int, alphabet: GenAlphabet) -> Automaton:
     """Ball of radius r around the identity, as an automaton with ambient data.
 
-    Slots g -> g*a: each of r + 1 rounds multiplies the elements the round
-    before found (the first, the identity).  Multiplied elements are the
+    Slots g -> g*a: each of r + 1 rounds expands the elements the round
+    before found (the first, the identity).  Expanded elements are the
     vertices, the last round's new products are outer; elements are kept as
     reduced depth pairs, numbered as found, and their keys rendered at the end.
+    A product g*a = w with w numbered after g also fills slot a^-1 of w with
+    g (the Serre pairing), so each inverse pair of slots costs one product.
     Each element found is charged its leaf count against DEFAULT_BUDGET.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if not alphabet.has_values():
         raise ValueError("ball construction needs an alphabet with group values")
-    values = [(v.dd, v.rd) for v in map(alphabet.value, alphabet.letters())]
+    values = list(map(alphabet.value, alphabet.letters()))
     refusal = f"the ball of radius {r} exceeds the budget of {DEFAULT_BUDGET:,} leaves"
     # F is torsion-free: a letter a != 1 makes 2r + 1 elements a^-r .. a^r
     if 2 * r + 1 > DEFAULT_BUDGET and any(len(dd) > 1 for dd, _ in values):
         raise BudgetExceeded(refusal)
-    pairs = [fgroup.ONE]
-    number = {fgroup.ONE: 0}
+    d = len(values)
+    pairs = [fgroup.IDENTITY]
+    number = {fgroup.IDENTITY: 0}
     rows: list[int] = []
+    paired: dict[int, int] = {}  # slot number -> target, filled from its inverse
     size, leaves = 0, 1  # leaves of the elements found, the identity's first
     for _ in range(r + 1):
         start, size = size, len(pairs)
-        for g in pairs[start:size]:
-            for v in values:
-                pair = fgroup.product(g, v)
-                w = number.setdefault(pair, len(pairs))
-                if w == len(pairs):
-                    pairs.append(pair)
-                    leaves += len(pair[0])
-                    if leaves > DEFAULT_BUDGET:
-                        raise BudgetExceeded(refusal)
+        for g in range(start, size):
+            for j, v in enumerate(values):
+                w = paired.pop(len(rows), None)
+                if w is None:
+                    pair = fgroup.product(pairs[g], v)
+                    w = number.setdefault(pair, len(pairs))
+                    if w == len(pairs):
+                        pairs.append(pair)
+                        leaves += len(pair[0])
+                        if leaves > DEFAULT_BUDGET:
+                            raise BudgetExceeded(refusal)
+                    if w > g:
+                        paired[w * d + (j + d // 2) % d] = g
                 rows.append(w)
     keys = fgroup.pair_keys(pairs)
     tgt = array("i", [w if w < size else -1 for w in rows])
@@ -427,26 +414,31 @@ def automaton_from_obj(obj: dict) -> Automaton:
 
 def save_automaton(aut: Automaton, path) -> None:
     """Write the bytes `json.dump(obj, fh, indent=1, sort_keys=True)` and a
-    newline would for the file object of the automaton (one edge per inverse
-    pair, positive letter, in key order; outer sorted, when known), with the
-    C string encoder and the edges taken in order from the core, in chunks."""
+    newline would for the file object of the automaton (vertices in key
+    order, one edge per inverse pair, positive letter, in key order; outer
+    sorted, when known), with the C string encoder, in chunks.  The one
+    place that orders vertices: vertices sorted by key, then positive
+    letters by symbol, list the edges in key-triple order."""
     enc = json.encoder.encode_basestring_ascii
     keys = [enc(v) for v in aut.keys]
-    letters = [enc(a) for a in aut.alphabet.letters()]
+    order = sorted(range(len(keys)), key=aut.keys.__getitem__)
+    symbols, tgt, d = aut.alphabet.symbols, aut.tgt, 2 * aut.alphabet.m
+    cols = sorted(range(len(symbols)), key=symbols.__getitem__)
+    letters = [enc(a) for a in symbols]
     values = json.dumps(_values_obj(aut.alphabet), indent=1, sort_keys=True)
     with open(path, "w") as fh:
         fh.write('{\n "alphabet": ')
-        _write_list(fh, map(enc, aut.alphabet.symbols))
+        _write_list(fh, letters)
         fh.write(',\n "edges": ')
         _write_list(fh, (f"[\n   {keys[v]},\n   {letters[j]},\n   {keys[w]}\n  ]"
-                         for v, j, w in aut.sorted_edges()))
+                         for v in order for j in cols if (w := tgt[v * d + j]) >= 0))
         fh.write(',\n "format": ' + enc(FORMAT_NAME))
         if aut.outer is not None:
             fh.write(',\n "outer": ')
             _write_list(fh, map(enc, sorted(aut.outer)))
         fh.write(',\n "values": ' + values.replace("\n", "\n "))
         fh.write(',\n "vertices": ')
-        _write_list(fh, keys)
+        _write_list(fh, map(keys.__getitem__, order))
         fh.write("\n}\n")
 
 

@@ -139,23 +139,22 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
         raise ValueError("threads must be at least 1")
     # one job per height cap, so no two workers build the same count table
     jobs = [(k, n_values, alphabet_specs) for k in k_values]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    # the CPUs this process may run on, so taskset and cpusets count
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(jobs), cpus)
     if workers > 1:
         import concurrent.futures as cf
 
         from . import counting
 
-        # each worker builds its own table, so each gets a share of the bound
-        with cf.ProcessPoolExecutor(max_workers=workers, initializer=_set_table_bound,
-                                    initargs=(counting.MAX_MIB // workers,)) as pool:
+        # each worker builds its own table, so each gets a share of the bound,
+        # checked here before any worker starts
+        for k in k_values:
+            counting.check_table(k, max(n_values), counting.MAX_MIB // workers)
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
     return [rec for job in jobs for rec in _sweep_k(job)]
-
-
-def _set_table_bound(mib: int) -> None:
-    from . import counting
-
-    counting.MAX_MIB = mib
 
 
 def _sweep_k(job):
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabets", default="x0,x1",
                    help="semicolon-separated alphabet specs")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1; at most the CPU count)")
+                   help="worker processes (default 1; at most the usable CPUs)")
     output(p, "write the records to this path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)

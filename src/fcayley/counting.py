@@ -138,16 +138,22 @@ def _build_bits(k: int, n: int) -> int:
     return 2 * series
 
 
-def table(k: int, n: int) -> CountTable:
-    """A new count table for a height cap up to n >= 1 leaves, refused before
-    it is built when its build would pass MAX_MIB."""
+def check_table(k: int, n: int, mib: int) -> None:
+    """Refuse a count table for a height cap up to n leaves whose build
+    would pass `mib` MiB, or n < 1."""
     if n < 1:
         raise ValueError("n must be positive")
     bits = _build_bits(k, n)
-    if bits > MAX_MIB << 23:
+    if bits > mib << 23:
         raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
                          f"up to {-(-bits >> 23):,} MiB to build, past the bound "
-                         f"of {MAX_MIB:,} MiB")
+                         f"of {mib:,} MiB")
+
+
+def table(k: int, n: int) -> CountTable:
+    """A new count table for a height cap up to n >= 1 leaves, refused before
+    it is built when its build would pass MAX_MIB."""
+    check_table(k, n, MAX_MIB)
     return CountTable(k, n)
 
 

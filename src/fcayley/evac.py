@@ -144,7 +144,8 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
     for a boundary slot); the Serre pairing makes (tgt[e], (j + m) mod 2m)
     its inverse.  One antisymmetric flow f[e] = -f[inv e] carries the units, so
     an arc has residual capacity K - f[e] and never shares flow with its
-    inverse.  Internal vertices, in key order, route their unit along a
+    inverse.  Internal vertices, in vertex order (file order, which is key
+    order in every file `save_automaton` writes), route their unit along a
     shortest residual path to the boundary.
     """
     if K < 1:

@@ -10,8 +10,9 @@ pairs below.
 
 A tree is stored as its leaf depths, left to right: leaf i is the dyadic
 interval of length 2^-d_i that starts where leaf i-1 ends, so at a scale 2^T
-(T >= every depth) its breakpoints are integers.  An element holds the
-reduced sequences `dd` (domain) and `rd` (range) and its key.
+(T >= every depth) its breakpoints are integers.  An element is the pair
+of reduced sequences `dd` (domain) and `rd` (range): reduced pairs are
+unique, so equal pairs are equal elements.
 
 Product.  Dyadic intervals are nested or disjoint, so the union of the
 breakpoints of b.range and a.domain cuts [0, 1] into the leaves of their
@@ -47,26 +48,24 @@ and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2, xbar1 = x1 * x0^-1.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 Depths = tuple[int, ...]
 
 
-class FElement:
-    """Reduced tree-pair representative of an element of Thompson's group F,
-    built from an already reduced pair of depth sequences."""
+class FElement(namedtuple("FElement", "dd rd")):
+    """Reduced tree-pair representative of an element of Thompson's group F:
+    an already reduced pair of depth sequences, equal to and hashed as the
+    plain pair `product` returns, its key rendered when read."""
 
-    __slots__ = ("dd", "rd", "key")
+    __slots__ = ()
 
-    def __init__(self, dd: Depths, rd: Depths):
-        self.dd, self.rd, self.key = dd, rd, _enc(dd) + "|" + _enc(rd)
+    @property
+    def key(self) -> str:
+        return _enc(self.dd) + "|" + _enc(self.rd)
 
     def is_identity(self) -> bool:
         return len(self.dd) == 1
-
-    def __eq__(self, other):
-        return isinstance(other, FElement) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"FElement({self.key!r})"
@@ -106,8 +105,7 @@ def _parse(enc: str) -> Depths:
     return tuple(depths)
 
 
-ONE: tuple[Depths, Depths] = ((0,), (0,))  # the identity's depth pair
-IDENTITY = FElement(*ONE)
+IDENTITY = FElement((0,), (0,))
 
 
 def element_from_key(key: str) -> FElement:
@@ -118,12 +116,12 @@ def element_from_key(key: str) -> FElement:
     dd, rd = _parse(parts[0]), _parse(parts[1])
     if len(dd) != len(rd):
         raise ValueError(f"domain and range of {key!r} have different leaf counts")
-    return FElement(*product(ONE, (dd, rd)))
+    return FElement(*product(IDENTITY, (dd, rd)))
 
 
 def multiply(a: FElement, b: FElement) -> FElement:
     """Product a*b, i.e. apply a first, then b."""
-    return FElement(*product((a.dd, a.rd), (b.dd, b.rd)))
+    return FElement(*product(a, b))
 
 
 def product(a: tuple[Depths, Depths], b: tuple[Depths, Depths]) -> tuple[Depths, Depths]:

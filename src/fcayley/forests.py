@@ -18,8 +18,8 @@ of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
 shape s marked at tree i, is numbered base[s] + i.  The action is one
 target column per primitive step: x0 is a range v -+ 1, a split or a merge
 one table lookup per vertex, and x2 indexes the columns of its steps.  Keys
-("(..)*;." with "*" after the marked tree) are rendered once per vertex,
-and the automaton sorts them.
+("(..)*;." with "*" after the marked tree) are rendered once per vertex and
+kept in this shape order; only the file writer sorts them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from array import array
 
 from .cayley import (DEFAULT_BUDGET, INV, Automaton, BudgetExceeded, GenAlphabet, base_symbol,
                      exact_str, letter_symbol)
+
+MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
 
 
 class TreeTable:
@@ -125,6 +127,10 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         total = counting.bb_count(m, k)
     if total > budget:
         raise BudgetExceeded(f"|BB({n},{k})| >= {exact_str(total)} exceeds budget {budget}")
+    # a key has 3n - t characters for t trees, and a str about 50 bytes more
+    if total * (3 * n + 49) > MAX_KEY_MIB << 20:
+        raise BudgetExceeded(f"|BB({n},{k})| = {total:,} keys of up to {3 * n - 1:,} "
+                             f"characters pass the bound of {MAX_KEY_MIB:,} MiB of key text")
     tt = TreeTable(min(k, n), n)  # a tree with n leaves has height below n
     shapes = tt.shapes(n)
     base: dict[tuple[int, ...], int] = {}
@@ -166,5 +172,5 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         for step in seq[1:]:  # x2: index the next column, -1 appended for index -1
             col = array("i", map((columns[step] + array("i", [-1])).__getitem__, col))
         tgt[j::d] = col
-    del columns, col  # sorting the vertices copies tgt
+    del columns, col  # the Serre check copies columns of tgt
     return Automaton(alphabet, keys, tgt)

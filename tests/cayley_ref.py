@@ -1,7 +1,7 @@
 """Automata as dict rows, induced subgraphs and the file object, for tests.
 
-`fcayley.cayley` builds automata on the integer core (sorted keys and a
-flat target array) and writes files straight from it.  This module keeps
+`fcayley.cayley` builds automata on the integer core (keys in builder or
+file order and a flat target array) and writes files straight from it.  This module keeps
 what only tests run: letter inverses, the builder from rows letter ->
 target key or None, slot and edge queries on keys, induced sub-automata
 built on `fgroup.multiply`, the JSON object of a file, whose `json.dump`
@@ -52,7 +52,7 @@ def restrict(aut: Automaton, keys) -> Automaton:
     index, d, keep = aut.index, 2 * aut.alphabet.m, set(keys)
     if unknown := sorted(keep - index.keys()):
         raise ValueError(f"keys not in automaton: {unknown[:3]}")
-    rows = sorted(map(index.__getitem__, keep))  # kept vertices, in key order
+    rows = sorted(map(index.__getitem__, keep))  # kept vertices, in vertex order
     new = [-1] * (len(aut.keys) + 1)  # new number of each old one; new[-1] = -1
     for r, i in enumerate(rows):
         new[i] = r
@@ -88,7 +88,7 @@ def automaton_to_obj(aut: Automaton) -> dict:
     obj: dict = {
         "format": FORMAT_NAME,
         "alphabet": list(al.symbols),
-        "vertices": list(aut.keys),
+        "vertices": sorted(aut.keys),
         "edges": [list(e) for e in sorted(geometric_edges(aut))],
         "values": {s: al.values[s].key for s in al.symbols} if al.has_values() else None,
     }

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import time
@@ -172,7 +173,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "ball1.json"
     save_automaton(aut, path)
     again = load_automaton(path)
-    assert again.keys == aut.keys
+    assert again.keys == tuple(sorted(aut.keys))  # files list vertices in key order
     assert again.slots == aut.slots
     assert again.alphabet.symbols == aut.alphabet.symbols
     assert again.outer == aut.outer
@@ -250,7 +251,7 @@ def test_restrict_matches_dict_rows(build):
         keep = set(rng.sample(aut.keys, max(1, int(frac * len(aut)))))
         sub = restrict(aut, iter(sorted(keep)))  # any iterable, read once
         ref = reference_restrict(aut, keep)
-        assert (sub.keys, sub.tgt, sub.outer) == (ref.keys, ref.tgt, None)
+        assert (sorted(sub.keys), sub.outer) == (sorted(ref.keys), None)
         assert sub.slots == ref.slots
     with pytest.raises(ValueError, match="not in automaton"):
         restrict(aut, [aut.keys[0], "nope"])
@@ -302,20 +303,66 @@ def test_serre_check_on_targets():
         with pytest.raises(SerreViolation):
             Automaton(al, ["p", "q"], array("i", tgt))
     aut = Automaton(al, ["q", "p"], array("i", [-1, 1, 0, -1]))
-    assert aut.keys == ("p", "q")
     assert aut.slots == {"p": {"a": "q", "a^-1": None}, "q": {"a": None, "a^-1": "p"}}
+
+
+def test_constructor_keeps_the_given_order():
+    al = GenAlphabet(("a",))
+    aut = Automaton(al, ["q", "p"], array("i", [-1, 1, 0, -1]))
+    assert aut.keys == ("q", "p") and aut.index == {"q": 0, "p": 1}
+    assert list(aut.tgt) == [-1, 1, 0, -1]
+
+
+def renumbered(aut, rng):
+    """A copy of the automaton with its vertices numbered in shuffled order."""
+    order = list(range(len(aut)))
+    rng.shuffle(order)
+    new = [0] * (len(aut) + 1)  # new number of each old one; new[-1] = -1
+    for r, i in enumerate(order):
+        new[i] = r
+    new[-1] = -1
+    d = 2 * aut.alphabet.m
+    tgt = array("i", [new[w] for i in order for w in aut.tgt[i * d:i * d + d]])
+    return Automaton(aut.alphabet, [aut.keys[i] for i in order], tgt, aut.outer)
+
+
+@pytest.mark.parametrize("build", [lambda: bb_automaton(7, 3, make_alphabet("x1,xb1,x0,x0")),
+                                   lambda: ball(4, make_alphabet("x0,x2,xb1"))],
+                         ids=["bb73", "ball4"])
+def test_save_writes_key_order_from_any_numbering(tmp_path, build):
+    aut = build()
+    want = io.StringIO()
+    json.dump(automaton_to_obj(aut), want, indent=1, sort_keys=True)
+    want = (want.getvalue() + "\n").encode()
+    rng = random.Random(3)
+    for copy in (aut, renumbered(aut, rng), renumbered(aut, rng)):
+        assert sorted(copy.keys) == sorted(aut.keys) and copy.slots == aut.slots
+        save_automaton(copy, tmp_path / "aut.json")
+        assert (tmp_path / "aut.json").read_bytes() == want
+
+
+def test_ball_makes_one_product_per_inverse_slot_pair(monkeypatch):
+    calls, product = [], fgroup.product
+    monkeypatch.setattr(fgroup, "product", lambda a, b: calls.append(1) or product(a, b))
+    for spec, r in (("x0,x1", 4), ("x1,xb1,x0,x0", 3), ("x0,x2", 3)):
+        calls.clear()
+        aut = ball(r, make_alphabet(spec))
+        slots, b = len(aut.tgt), aut.tgt.count(-1)  # 2m |B| slots, b on the boundary
+        assert len(calls) == (slots - b) // 2 + b < slots, spec
 
 
 KEY_CHARS = 'ab"\\\n\t\x01\x1f\x7f/ é☃\U0001d11e'
 
 
-def _random_automaton(rng, n_vertices, n_edges, values, outer):
+def _random_automaton(rng, n_vertices, n_edges, values, outer, shuffled=False):
     symbols = rng.sample(["a", "b\"c", "é", "x0", "d\\"], rng.randint(1, 3))
     al = GenAlphabet(symbols, {s: fgroup.X0 for s in symbols} if values else None)
     keys = set()
     while len(keys) < n_vertices:
         keys.add("".join(rng.choice(KEY_CHARS) for _ in range(rng.randint(0, 6))))
     keys = sorted(keys)
+    if shuffled:
+        rng.shuffle(keys)
     slots = {v: {a: None for a in al.letters()} for v in keys}
     for _ in range(n_edges):
         u, w, a = rng.choice(keys), rng.choice(keys), rng.choice(symbols)
@@ -331,13 +378,15 @@ def _random_automaton(rng, n_vertices, n_edges, values, outer):
 @pytest.mark.parametrize("outer", [None, "empty", "present"])
 def test_save_matches_json_dump(tmp_path, values, outer):
     rng = random.Random(f"{values}:{outer}")
-    # sizes include no edges and more rows than one write chunk
-    for n_vertices, n_edges in ((1, 0), (7, 0), (30, 40), (5000, 9000)):
-        aut = _random_automaton(rng, n_vertices, n_edges, values, outer)
+    # sizes include no edges and more rows than one write chunk; keys are
+    # numbered in key order and in shuffled order
+    for (n_vertices, n_edges), shuffled in itertools.product(
+            ((1, 0), (7, 0), (30, 40), (5000, 9000)), (False, True)):
+        aut = _random_automaton(rng, n_vertices, n_edges, values, outer, shuffled)
         obj = {
             "format": "fcayley-automaton",
             "alphabet": list(aut.alphabet.symbols),
-            "vertices": list(aut.keys),
+            "vertices": sorted(aut.keys),
             "edges": [list(e) for e in sorted(geometric_edges(aut))],
             "values": {s: fgroup.X0.key for s in aut.alphabet.symbols} if values else None,
         }
@@ -385,6 +434,6 @@ def test_ball_matches_naive_build(spec):
     for r in range(5):
         aut = ball(r, al)
         rows, outer = naive_ball(r, al)
-        assert aut.keys == tuple(sorted(rows)), (spec, r)
+        assert sorted(aut.keys) == sorted(rows), (spec, r)
         assert dict(aut.slots) == rows, (spec, r)
         assert aut.outer == outer, (spec, r)

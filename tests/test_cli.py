@@ -350,6 +350,7 @@ def test_sweep_workers_clamped(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     records = sweep_records([0, 1, 2, 3, 4, 5], [4, 5], ["x0,x1"], threads=10000)
     assert started == [4] and len(records) == 12  # no more workers than CPUs
     sweep_records([1, 2], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
@@ -367,6 +368,60 @@ def test_sweep_workers_share_the_table_bound(monkeypatch):
     assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
     with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
         sweep_records([2, 3], [2100], ["x0"], threads=2)
+
+
+def test_refused_sweep_starts_no_worker(monkeypatch):
+    import concurrent.futures
+
+    from fcayley import counting
+
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **options: started.append(args) or 1 / 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "MAX_MIB", 2)
+    with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
+        sweep_records([2, 3], [2100], ["x0"], threads=2)
+    assert started == []
+
+
+def test_evac_and_certify_read_unsorted_files(tmp_path):
+    import random
+
+    from fcayley.cayley import ball, make_alphabet
+
+    def unsorted(name, obj):
+        obj = dict(obj, vertices=list(obj["vertices"]))
+        random.Random(name).shuffle(obj["vertices"])
+        (tmp_path / name).write_text(json.dumps(obj))
+        return str(tmp_path / name)
+
+    save_automaton(ball(3, make_alphabet("x0,x1")), tmp_path / "ball3.json")
+    save_automaton(evac.blocked_chain_automaton(), tmp_path / "chain.json")
+    (tmp_path / "neck.json").write_text(json.dumps(BOTTLENECK))
+    out = tmp_path / "out.json"
+    for name, K in (("ball3.json", 1), ("chain.json", 1), ("chain.json", 2), ("neck.json", 1)):
+        path = unsorted("unsorted-" + name, read_json(tmp_path / name))
+        aut = load_automaton(path)
+        assert list(aut.keys) == read_json(path)["vertices"] != sorted(aut.keys)
+        assert run(["evac", "--automaton", path, "--K", str(K), "--out", str(out)]) == EXIT_OK
+        result = read_json(out)
+        if result["exists"]:
+            evac.validate_scheme(aut, evac.scheme_from_obj(result["scheme"]))
+        else:
+            Z = set(result["witness"]["Z"])
+            assert K * evac.cheeger_out(aut, Z) == K * result["witness"]["cheeger"] < len(Z)
+    # the same verdict as on the file in key order, failures in any order
+    (tmp_path / "cert.json").write_text(json.dumps(BOTTLENECK_CERT))
+    verdicts = []
+    for path in (str(tmp_path / "neck.json"), unsorted("neck-a.json", BOTTLENECK),
+                 unsorted("neck-b.json", BOTTLENECK)):
+        assert run(["certify", "--automaton", path, "--cert", str(tmp_path / "cert.json"),
+                    "--out", str(out), "--no-timestamp"]) == EXIT_REJECTED
+        verdict = read_json(out)
+        verdicts.append((sorted(verdict.pop("failures")), dict(verdict, automaton=None)))
+    assert verdicts[0][0] and verdicts[0] == verdicts[1] == verdicts[2]
 
 
 def test_malformed_automaton_files_exit_2(tmp_path, capsys):
@@ -640,8 +695,11 @@ def run_bounded(args):
      "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
     (["ball", "--r", "100000000", "--alphabet", "x0"],
      "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
+    (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
+     "|BB(60000,0)| = 60,000 keys of up to 179,999 characters pass the bound of "
+     "1,024 MiB of key text"),
 ], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
-        "sweep-grid-leaves", "ball"])
+        "sweep-grid-leaves", "ball", "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
     assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err

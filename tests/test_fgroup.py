@@ -22,6 +22,17 @@ from fcayley.fgroup import (
 from tree_pairs import LEAF, caret, parse_tree
 
 
+def test_element_is_its_depth_pair():
+    from fcayley.fgroup import product as pair_product
+
+    assert IDENTITY == ((0,), (0,)) and hash(IDENTITY) == hash(((0,), (0,)))
+    assert IDENTITY.key == ".|."
+    for g in (X0, X1, multiply(X1, invert(X0)), power(X0, -3)):
+        pair = pair_product(IDENTITY, g)
+        assert type(pair) is tuple and pair == g and hash(pair) == hash(g)
+        assert {pair: 1}[g] == 1 and g.key == element_from_key(g.key).key
+
+
 def product(*elements):
     """Left-to-right product; the empty product is the identity."""
     return reduce(multiply, elements, IDENTITY)

@@ -128,6 +128,23 @@ def test_budget_refused_before_the_table_grows_to_n(monkeypatch):
     assert grown and max(grown) <= 64
 
 
+def test_key_text_refused_before_the_tree_table(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def tree_table(k, n):
+        raise Built
+
+    monkeypatch.setattr(forests, "TreeTable", tree_table)
+    # BB(60000, 0): 60,000 keys of 120,000 characters, inside the forest budget
+    with pytest.raises(BudgetExceeded, match="pass the bound of 1,024 MiB of key text"):
+        bb_automaton(60000, 0, make_alphabet("x0,x1"))
+    # about 130 MB of keys each: admitted
+    for n, k in ((15, 3), (14, 4)):
+        with pytest.raises(Built):
+            bb_automaton(n, k, make_alphabet("x0,x1,xb1"))
+
+
 def test_budget_message_renders_any_count(monkeypatch):
     monkeypatch.setattr(counting, "bb_count", lambda n, k: 10 ** 5000)
     with pytest.raises(BudgetExceeded, match=r">= 1(0{5000}) exceeds budget"):
@@ -220,7 +237,7 @@ def test_integer_core_matches_reference_action(spec):
     for n, k in itertools.product(range(1, 9), range(0, 4)):
         aut = bb_automaton(n, k, al)
         ref = forest_ref.bb_rows(n, k, al.letters())
-        assert aut.keys == tuple(ref), (n, k)
+        assert sorted(aut.keys) == sorted(ref), (n, k)
         assert dict(aut.slots) == ref, (n, k)
         assert [f.enc for f in enumerate_bb(n, k)] == list(ref)
 
