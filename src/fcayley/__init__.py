@@ -3,9 +3,10 @@
 Modules:
   fgroup    reduced tree pairs as leaf-depth sequences, key parser and encoder,
             generators, the order-2 automorphism checked on elements
-  cayley    finite Cayley subgraphs (automata), balls, boundary/density reports,
-            the rendering of exact numbers, files
-  forests   Brown-Belk sets BB(n, k) and the partial generator actions on them
+  cayley    alphabet tokens as words in x0 and x1, finite Cayley subgraphs
+            (automata), balls, boundary/density reports, exact numbers, files
+  forests   Brown-Belk sets BB(n, k), acted on by two primitive moves and the
+            words composed from them
   counting  big-integer DP for |BB|, per-letter boundary counts, Y0, p and xi
   evac      evacuation-scheme solver, Hall witnesses, flow certificates
   cli       batch command-line front end

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, islice
 from operator import ne
 from types import MappingProxyType
@@ -61,12 +61,22 @@ class BudgetExceeded(ValueError):
     """A build would exceed its budget of forests or leaves."""
 
 
-BASE_VALUES = {
-    "x0": fgroup.X0,
-    "x1": fgroup.X1,
-    "xb1": fgroup.generator_xbar1(),
-    "x2": fgroup.generator_x(2),
+# each alphabet token as a word of (generator, exponent +-1) steps in x0 and x1:
+# its group value is their product, and `forests` applies them one by one
+WORDS = {
+    "x0": (("x0", 1),),
+    "x1": (("x1", 1),),
+    "xb1": (("x1", 1), ("x0", -1)),
+    "x2": (("x0", -1), ("x1", 1), ("x0", 1)),
 }
+
+
+def _word_value(word) -> FElement:
+    gens = {"x0": fgroup.X0, "x1": fgroup.X1}
+    return reduce(fgroup.multiply, [fgroup.power(gens[g], e) for g, e in word], fgroup.IDENTITY)
+
+
+BASE_VALUES = {tok: _word_value(word) for tok, word in WORDS.items()}
 
 
 class GenAlphabet:

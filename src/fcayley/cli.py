@@ -120,16 +120,16 @@ def _parse_int_list(text: str, option: str) -> list[range]:
             continue
         ends = part.split(":")
         if len(ends) > 2:
-            raise ValueError(f"range {part!r} has more than two ends")
+            raise ValueError(f"{option}: range {part!r} has more than two ends")
         try:
             lo, hi = int(ends[0]), int(ends[-1])
         except ValueError:
             raise ValueError(f"{option}: {part!r} is not an integer or a range lo:hi") from None
         if lo > hi:
-            raise ValueError(f"range {part!r} runs backwards")
+            raise ValueError(f"{option}: range {part!r} runs backwards")
         out.append(range(lo, hi + 1))
     if not out:
-        raise ValueError(f"empty integer list {text!r}")
+        raise ValueError(f"{option}: empty integer list {text!r}")
     return out
 
 
@@ -137,21 +137,21 @@ def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
     """Density/xi/p records over a (k, n, alphabet) grid, ordered as nested loops."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    from . import counting
+
     # one job per height cap, so no two workers build the same count table
     jobs = [(k, n_values, alphabet_specs) for k in k_values]
     # the CPUs this process may run on, so taskset and cpusets count
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads, len(jobs), cpus)
+    # each worker builds its own table, so each gets a share of the bound;
+    # every cap is checked here before any table is built or worker starts
+    for k in k_values:
+        counting.check_table(k, max(n_values), counting.MAX_MIB // workers)
     if workers > 1:
         import concurrent.futures as cf
 
-        from . import counting
-
-        # each worker builds its own table, so each gets a share of the bound,
-        # checked here before any worker starts
-        for k in k_values:
-            counting.check_table(k, max(n_values), counting.MAX_MIB // workers)
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
     return [rec for job in jobs for rec in _sweep_k(job)]

@@ -43,7 +43,7 @@ Base generators (pinned by the relation tests in the suite):
     x0 = (.(..))     -> ((..).)
     x1 = (.(.(..)))  -> (.((..).))
 
-and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2, xbar1 = x1 * x0^-1.
+and x_n = x0^-(n-1) * x1 * x0^(n-1) for n >= 2.
 """
 
 from __future__ import annotations
@@ -197,11 +197,6 @@ def generator_x(n: int) -> FElement:
     if n == 1:
         return X1
     return conjugate(X1, power(X0, n - 1))
-
-
-def generator_xbar1() -> FElement:
-    """xbar1 = x1 * x0^-1, the mirror partner of x1."""
-    return multiply(X1, invert(X0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,31 @@
 """Brown-Belk sets BB(n, k) of marked forests and the partial generator actions.
 
 BB(n, k) is the set of marked forests with n leaves whose trees all have
-height at most k.  Generators act partially on the right:
+height at most k.  F acts partially on the right by the primitive moves
 
   x0    move the marker one tree to the left (undefined at the left end),
   x1    split the marked caret (T1^T2) into T1, T2 and mark T1,
-  xb1   same split, mark T2,
   x1^-1 merge the marked tree with its right neighbour (both heights < k),
-  xb1^-1 merge with the left neighbour, and
-  x2    the composite x0^-1 * x1 * x0 (split the tree right of the marker).
 
-Undefined moves return None; they are values, not errors.
+and every other letter as its word in x0 and x1 (`cayley.WORDS`), step by
+step: xb1 = x1 x0^-1 marks T2 after the split.  Undefined moves return None.
 
 Vertex core.  A `TreeTable` builds and numbers the trees of height <= k
 with at most n leaves by leaf count, each caret a join of two smaller trees
 of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
 shape s marked at tree i, is numbered base[s] + i.  The action is one
 target column per primitive step: x0 is a range v -+ 1, a split or a merge
-one table lookup per vertex, and x2 indexes the columns of its steps.  Keys
-("(..)*;." with "*" after the marked tree) are rendered once per vertex and
-kept in this shape order; only the file writer sorts them.
+one table lookup per vertex, and a word indexes the columns of its steps.
+Keys ("(..)*;." with "*" after the marked tree) are rendered once per vertex
+and kept in this shape order; only the file writer sorts them.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .cayley import (DEFAULT_BUDGET, INV, Automaton, BudgetExceeded, GenAlphabet, base_symbol,
-                     exact_str, letter_symbol)
+from .cayley import (DEFAULT_BUDGET, INV, WORDS, Automaton, BudgetExceeded, GenAlphabet,
+                     base_symbol, exact_str, letter_symbol)
 
 MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
 
@@ -62,49 +60,43 @@ class TreeTable:
             low.append([t for t in new if height[t] < k])
 
     def shapes(self, n: int) -> list[tuple[int, ...]]:
-        """Every tuple of tree numbers with n leaves in all."""
-        out: list[list[tuple[int, ...]]] = [[()]]
+        """Every tuple of tree numbers with n leaves in all.  No tree has more
+        than `top` leaves, so total t reads the totals t - top .. t - 1 only."""
+        top = max(size for size, trees in enumerate(self.by_size) if trees)
+        out = {0: [()]}
         for total in range(1, n + 1):
-            out.append([(t,) + rest for size in range(1, total + 1)
-                        for t in self.by_size[size] for rest in out[total - size]])
+            out[total] = [(t,) + rest for size in range(1, min(total, top) + 1)
+                          for t in self.by_size[size] for rest in out[total - size]]
+            out.pop(total - top, None)
         return out[n]
 
 
-def _split(tt: TreeTable, s: tuple, i: int, right: int):
-    """x1 (right 0) and xb1 (right 1): split the marked caret, mark one child."""
+def _split(tt: TreeTable, s: tuple, i: int):
+    """x1: split the marked caret and mark its left child."""
     pair = tt.split[s[i]]
-    return None if pair is None else (s[:i] + pair + s[i + 1:], i + right)
+    return None if pair is None else (s[:i] + pair + s[i + 1:], i)
 
 
-def _merge(tt: TreeTable, s: tuple, i: int, left: int):
-    """x1^-1 (left 0) merges the marked tree with its right neighbour, xb1^-1
-    (left 1) with its left one; both trees need height < k."""
-    j = i - left
-    t = tt.join.get(s[j:j + 2]) if j >= 0 else None
-    return None if t is None else (s[:j] + (t,) + s[j + 2:], j)
+def _merge(tt: TreeTable, s: tuple, i: int):
+    """x1^-1: merge the marked tree with its right neighbour, both of height < k."""
+    t = tt.join.get(s[i:i + 2])
+    return None if t is None else (s[:i] + (t,) + s[i + 2:], i)
 
 
-# x0 (-1) and x0^-1 (+1) move the marker one tree; bb_automaton builds their
-# columns as ranges, so they carry no function
-PRIMITIVES = {("x0", 1): (None, -1), ("x0", -1): (None, 1),
-              ("x1", 1): (_split, 0), ("xb1", 1): (_split, 1),
-              ("x1", -1): (_merge, 0), ("xb1", -1): (_merge, 1)}
+# a step is a marker shift, which bb_automaton builds as a range column, or a
+# function of (tree table, shape, marked tree) for a split or a merge
+PRIMITIVES = {("x0", 1): -1, ("x0", -1): 1, ("x1", 1): _split, ("x1", -1): _merge}
 
 
 def letter_steps(letter: str) -> tuple:
-    """The primitive steps, as (function, argument) pairs, one letter applies
-    (the function None for a marker move).
-
-    x2 is applied strictly as the composite x0^-1 * x1 * x0 (and its inverse
-    as x0^-1 * x1^-1 * x0).
-    """
-    sign = -1 if letter.endswith(INV) else 1
-    sym = base_symbol(letter_symbol(letter))
-    if sym == "x2":
-        return (PRIMITIVES["x0", -1], PRIMITIVES["x1", sign], PRIMITIVES["x0", 1])
-    if (sym, sign) not in PRIMITIVES:
-        raise ValueError(f"symbol {sym!r} has no forest action")
-    return (PRIMITIVES[sym, sign],)
+    """The primitive steps one letter applies, in order: the word of its token
+    in `cayley.WORDS`, reversed with negated exponents for an inverse letter."""
+    word = WORDS.get(base_symbol(letter_symbol(letter)))
+    if word is None:
+        raise ValueError(f"letter {letter!r} has no forest action")
+    if letter.endswith(INV):
+        word = [(g, -e) for g, e in reversed(word)]
+    return tuple(PRIMITIVES[step] for step in word)
 
 
 def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
@@ -146,30 +138,30 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         raise AssertionError(f"enumerated {len(keys)} forests, DP counts {total}")
 
     # one target column per primitive step, shared by multiset copies
-    columns: dict[tuple, array] = {}
+    columns: dict = {}
     for a, seq in zip(letters, steps):
-        for step, arg in seq:
-            if (step, arg) in columns:
+        for step in seq:
+            if step in columns:
                 continue
-            if step is None:  # x0 moves: v + arg inside each shape
-                col = array("i", range(arg, total + arg))
+            if isinstance(step, int):  # x0 moves: v + step inside each shape
+                col = array("i", range(step, total + step))
                 for s, v in base.items():
-                    col[v if arg < 0 else v + len(s) - 1] = -1
+                    col[v if step < 0 else v + len(s) - 1] = -1
             else:
                 col = array("i")
                 for s in shapes:
                     for i in range(len(s)):
-                        r = step(tt, s, i, arg)
+                        r = step(tt, s, i)
                         v = base.get(r[0]) if r else -1
                         if v is None:
                             raise AssertionError(f"action {a!r} left BB({n},{k})")
                         col.append(v + r[1] if r else -1)
-            columns[step, arg] = col
+            columns[step] = col
     d = len(letters)
     tgt = array("i", [-1]) * (d * total)
     for j, seq in enumerate(steps):
         col = columns[seq[0]]
-        for step in seq[1:]:  # x2: index the next column, -1 appended for index -1
+        for step in seq[1:]:  # index the next column, -1 appended for index -1
             col = array("i", map((columns[step] + array("i", [-1])).__getitem__, col))
         tgt[j::d] = col
     del columns, col  # the Serre check copies columns of tgt

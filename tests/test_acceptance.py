@@ -18,6 +18,7 @@ import evac_ref
 import forest_ref
 from fcayley import counting, evac, fgroup, forests
 from fcayley.cayley import (
+    BASE_VALUES,
     GenAlphabet,
     ball,
     boundary_report,
@@ -345,7 +346,7 @@ def test_criterion_10_group_arithmetic():
             assert fgroup.multiply(a_b, g) == fgroup.multiply(g, a_b)  # [a_b, g] = 1
         assert fgroup.check_automorphism()["ok"]
         x2 = fgroup.generator_x(2)
-        xb1 = fgroup.generator_xbar1()
+        xb1 = BASE_VALUES["xb1"]
         assert fgroup.multiply(fgroup.multiply(fgroup.invert(x0), x1), x0) == x2
         assert fgroup.multiply(fgroup.multiply(x0, x1), fgroup.invert(x0)) == \
             fgroup.multiply(x0, xb1)

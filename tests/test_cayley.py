@@ -55,6 +55,21 @@ def test_make_alphabet_rejects_unknown():
         make_alphabet("x0,zz")
 
 
+def test_base_values_are_the_products_of_their_words():
+    assert list(cayley.BASE_VALUES) == list(cayley.WORDS) == ["x0", "x1", "xb1", "x2"]
+    assert cayley.BASE_VALUES["x0"] == fgroup.X0 and cayley.BASE_VALUES["x1"] == fgroup.X1
+    assert cayley.BASE_VALUES["xb1"].key == "((..)(..))|(.((..).))"
+    assert cayley.BASE_VALUES["x2"].key == "(.(.(.(..))))|(.(.((..).)))"
+
+
+def test_abstract_alphabets_have_no_values():
+    al = GenAlphabet(("a",))
+    with pytest.raises(ValueError, match="abstract alphabet has no group values"):
+        al.value("a")
+    with pytest.raises(ValueError, match="ball construction needs an alphabet with group values"):
+        ball(1, al)
+
+
 def test_ball_zero_is_singleton():
     aut = ball(0, make_alphabet("x0,x1"))
     assert len(aut) == 1

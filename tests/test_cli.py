@@ -230,8 +230,9 @@ def test_negative_height_cap_in_count_mode(capsys):
 
 def test_bad_integer_lists_are_usage_errors(capsys):
     for k, n, message in (
-            ("1:2:3", "5", "error: range '1:2:3' has more than two ends\n"),
-            ("2,5:1", "5", "error: range '5:1' runs backwards\n"),
+            ("1:2:3", "5", "error: --k: range '1:2:3' has more than two ends\n"),
+            ("2,5:1", "5", "error: --k: range '5:1' runs backwards\n"),
+            (",", "5", "error: --k: empty integer list ','\n"),
             ("x", "5", "error: --k: 'x' is not an integer or a range lo:hi\n"),
             ("2", "1,3:", "error: --n: '3:' is not an integer or a range lo:hi\n"),
             (":5", "5", "error: --k: ':5' is not an integer or a range lo:hi\n")):
@@ -239,9 +240,35 @@ def test_bad_integer_lists_are_usage_errors(capsys):
         assert capsys.readouterr().err == message, k
 
 
+def test_empty_list_items_are_skipped(tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for k, out in zip(("2,,3", "2,3"), outs):
+        assert run(["sweep", "--k", k, "--n", "4", "--out", str(out), "--no-timestamp"]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["ball", "--r", "-1"], "radius must be nonnegative"),
+    (["ball", "--r", "1", "--alphabet", ","], "empty alphabet spec ','"),
+    (["sweep", "--k", "2", "--n", "5", "--alphabets", ";"], "no alphabets given"),
+    (["bb", "--mode", "enumerate", "--n", "3", "--k", "-1"], "k must be nonnegative"),
+], ids=["ball-radius", "ball-alphabet", "sweep-alphabets", "bb-k"])
+def test_refused_arguments_name_their_fault(args, message, capsys):
+    assert run(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_evac_refuses_a_constant_below_one(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    save_automaton(evac.blocked_chain_automaton(), path)
+    assert run(["evac", "--automaton", str(path), "--K", "0"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: K must be at least 1\n"
+
+
 def test_n_below_one_is_usage_error(capsys):
     for args in (["sweep", "--k", "3", "--n", "0"], ["sweep", "--k", "3", "--n=-3"],
-                 ["bb", "--mode", "count", "--n", "0", "--k", "3"]):
+                 ["bb", "--mode", "count", "--n", "0", "--k", "3"],
+                 ["bb", "--mode", "enumerate", "--n", "0", "--k", "1"]):
         assert run(args) == EXIT_VALIDATION, args
         assert capsys.readouterr().err == "error: n must be positive\n", args
 
@@ -370,6 +397,18 @@ def test_sweep_workers_share_the_table_bound(monkeypatch):
         sweep_records([2, 3], [2100], ["x0"], threads=2)
 
 
+def test_refused_serial_sweep_builds_no_table(monkeypatch):
+    from fcayley import counting
+
+    built = []
+    monkeypatch.setattr(counting, "CountTable", lambda k, n_max: built.append(k) or 1 / 0)
+    monkeypatch.setattr(counting, "MAX_MIB", 2)
+    # k = 2 up to 1,000 leaves fits in 2 MiB, k = 12 needs 3 MiB of circuit registers
+    with pytest.raises(ValueError, match="k = 12 up to n = 1000 leaves takes up to 3 MiB"):
+        sweep_records([2, 12], [1000], ["x0"])
+    assert built == []
+
+
 def test_refused_sweep_starts_no_worker(monkeypatch):
     import concurrent.futures
 
@@ -438,6 +477,54 @@ def test_malformed_automaton_files_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+AUTOMATON = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"]]}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"alphabet": ["a"], "vertices": ["u"]}, "missing automaton field: 'edges'"),
+    ({**AUTOMATON, "vertices": ["u", "v", "u"]}, "duplicate vertex keys"),
+    ({**AUTOMATON, "edges": [["u", "b", "v"]]}, "edge with unknown letter 'b'"),
+    ({**AUTOMATON, "edges": [["u", "a", "w"]]},
+     "edge ['u', 'a', 'w'] references unknown vertex"),
+    ([AUTOMATON], "automaton file must hold a JSON object"),
+    ({**AUTOMATON, "vertices": [], "edges": []}, "automaton must be nonempty"),
+    ({**AUTOMATON, "alphabet": [], "edges": []}, "alphabet needs at least one symbol"),
+    ({**AUTOMATON, "alphabet": ["a", "a"]},
+     "alphabet symbols must be distinct (use @2, @3 suffixes)"),
+    ({**AUTOMATON, "alphabet": ["a^-1"], "edges": []}, "bad symbol name 'a^-1'"),
+    ({**AUTOMATON, "alphabet": ["a;b"], "edges": []}, "bad symbol name 'a;b'"),
+    ({**AUTOMATON, "alphabet": ["a|b"], "edges": []}, "bad symbol name 'a|b'"),
+    ({**AUTOMATON, "alphabet": ["a", "b"], "values": {"a": ".|."}},
+     "symbols without values: ['b']"),
+], ids=["missing-field", "duplicate-vertex", "unknown-letter", "unknown-vertex", "list",
+        "no-vertices", "no-symbols", "repeated-symbol", "inverse-symbol", "semicolon-symbol",
+        "bar-symbol", "missing-values"])
+def test_automaton_file_refusals_name_their_fault(tmp_path, capsys, obj, message):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(obj))
+    assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cert,code,message", [
+    ([1], EXIT_VALIDATION, "certificate must be an object with C and eps"),
+    ({"C": "0", "eps": "1"}, EXIT_REJECTED, "constants C and eps must be positive"),
+    ({"C": "1", "eps": "-1/2"}, EXIT_REJECTED, "constants C and eps must be positive"),
+    ({"C": "1", "eps": "1", "boundary_inflows": {"zz": "1"}}, EXIT_REJECTED,
+     "boundary inflow for unknown vertex 'zz'"),
+], ids=["list", "C", "eps", "unknown-vertex"])
+def test_certificate_refusals_name_their_fault(tmp_path, capsys, cert, code, message):
+    aut, path, out = tmp_path / "chain.json", tmp_path / "cert.json", tmp_path / "out.json"
+    save_automaton(evac.blocked_chain_automaton(), aut)
+    path.write_text(json.dumps(cert))
+    assert run(["certify", "--automaton", str(aut), "--cert", str(path),
+                "--out", str(out)]) == code
+    if code == EXIT_REJECTED:
+        assert message in read_json(out)["failures"]
+    else:
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_deep_value_keys_load(tmp_path, capsys):
@@ -693,13 +780,16 @@ def run_bounded(args):
      "the sweep grid has 200,000 records"),
     (["sweep", "--k", "0:9", "--n", "55537:65536"],  # 100,000 records of up to 2^17 bits
      "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
+    (["sweep", "--k", "2,23", "--n", "40000"],  # k = 2 alone is admitted at 40,000 leaves
+     "the count table for k = 23 up to n = 40000 leaves takes up to 161,025 MiB to build, "
+     "past the bound of 1,024 MiB"),
     (["ball", "--r", "100000000", "--alphabet", "x0"],
      "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
     (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
      "|BB(60000,0)| = 60,000 keys of up to 179,999 characters pass the bound of "
      "1,024 MiB of key text"),
 ], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
-        "sweep-grid-leaves", "ball", "bb-keys"])
+        "sweep-grid-leaves", "sweep-caps", "ball", "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
     assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err

@@ -28,6 +28,12 @@ def test_tree_counts_examples():
         assert tree_counts(k, 3)[1] == 1
 
 
+def test_tree_counts_refuse_negative_arguments():
+    for k, n in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError, match="k and max_leaves must be nonnegative"):
+            tree_counts(k, n)
+
+
 def test_tree_counts_support_bound():
     f3 = tree_counts(3, 12)
     assert all(f3[l] == 0 for l in range(9, 13))  # 2^3 = 8 leaves max

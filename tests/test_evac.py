@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from evac_ref import (
 )
 from fcayley import evac, fgroup
 from fcayley.cayley import (
+    BASE_VALUES,
     AutomatonFormatError,
     GenAlphabet,
     ball,
@@ -521,7 +523,7 @@ def test_relabel_requires_pure():
 def test_relabel_group_identities():
     # x0 * xb1 = x0 * x1 * x0^-1 and x0^-1 * x1 * x0 = x2 as tree pairs
     x0, x1 = fgroup.X0, fgroup.X1
-    xb1 = fgroup.generator_xbar1()
+    xb1 = BASE_VALUES["xb1"]
     lhs = fgroup.multiply(x0, xb1)
     rhs = fgroup.multiply(fgroup.multiply(x0, x1), fgroup.invert(x0))
     assert lhs == rhs
@@ -542,6 +544,26 @@ def test_validate_scheme_rejects_bad_paths():
             "v0": (), "v2": (),
             "v1": (("v0", "a", "v1"),),
         }))
+
+
+@pytest.mark.parametrize("n,paths,message", [
+    (3, {"v0": (), "v2": ()}, "scheme must assign a path to every vertex"),
+    (3, {"v0": (), "v1": (("v1", "a", "v0"),), "v2": ()},
+     "path of 'v1' uses a non-edge ('v1', 'a', 'v0')"),
+    (3, {"v0": (), "v1": (("v1", "a", "v2"), ("v2", "a^-1", "v1"), ("v1", "a", "v2")),
+         "v2": ()}, "path of 'v1' revisits 'v1'"),
+    (4, {"v0": (), "v1": (("v1", "a", "v2"),), "v2": (("v2", "a", "v3"),), "v3": ()},
+     "path of 'v1' ends at 'v2', not on the inner boundary"),
+], ids=["missing-vertex", "non-edge", "revisit", "off-boundary"])
+def test_validate_scheme_names_the_fault(n, paths, message):
+    with pytest.raises(SchemeValidationError, match=f"^{re.escape(message)}$"):
+        validate_scheme(path_automaton(n), EvacScheme(K=1, paths=paths))
+
+
+def test_flow_decomposition_needs_a_conserved_flow():
+    aut = path_automaton(3)  # v1 is internal and sends out no flow
+    with pytest.raises(AssertionError, match="flow decomposition stuck"):
+        evac._paths(aut, [0] * len(aut.tgt), aut.boundary_flags())
 
 
 def test_validate_scheme_edge_overuse():
@@ -577,7 +599,7 @@ def test_scheme_obj_roundtrip():
 
 
 def test_malformed_scheme_files():
-    for text in ('{"K": 1, "paths": [1]}',
+    for text in ('[1]', '5', '{"K": 1, "paths": [1]}',
                  '{"K": 1, "paths": {"u": [5]}}',
                  # K is a JSON integer >= 1, not a float, bool or string
                  '{"K": 1.9, "paths": {"u": []}}',

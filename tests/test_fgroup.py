@@ -13,12 +13,12 @@ from fcayley.fgroup import (
     conjugate,
     element_from_key,
     generator_x,
-    generator_xbar1,
     invert,
     multiply,
     power,
     presentation2_relators,
 )
+from fcayley.cayley import BASE_VALUES
 from tree_pairs import LEAF, caret, parse_tree
 
 
@@ -113,9 +113,14 @@ def test_conjugation_formula_for_xn():
         assert conj == generator_x(n)
 
 
+def test_generator_index_is_nonnegative():
+    with pytest.raises(ValueError, match="generator index must be nonnegative"):
+        generator_x(-1)
+
+
 def test_xbar1_value():
-    assert generator_xbar1() == multiply(X1, invert(X0))
-    assert not generator_xbar1().is_identity()
+    assert BASE_VALUES["xb1"] == multiply(X1, invert(X0))
+    assert not BASE_VALUES["xb1"].is_identity()
 
 
 def test_presentation2_relators_trivial():
@@ -141,7 +146,7 @@ def test_automorphism_report():
 
 def test_automorphism_checks_are_not_vacuous():
     # the generators go to x0^-1 and xb1, so {x0, x1, xb1} is mapped onto itself
-    assert automorphism(X0, X1) == (invert(X0), generator_xbar1())
+    assert automorphism(X0, X1) == (invert(X0), multiply(X1, invert(X0)))
     # one application does not fix the generators; only the second does
     assert automorphism(X0, X1) != (X0, X1)
     assert automorphism(*automorphism(X0, X1)) == (X0, X1)
@@ -155,7 +160,7 @@ def test_commutator_image_nontrivial():
 
 def test_conjugation_identities_as_products():
     x2 = generator_x(2)
-    xb1 = generator_xbar1()
+    xb1 = BASE_VALUES["xb1"]
     assert multiply(multiply(invert(X0), X1), X0) == x2
     assert multiply(multiply(X0, X1), invert(X0)) == multiply(X0, xb1)
 
@@ -174,7 +179,7 @@ def test_word_inverse():
 
 
 # x0, x1, xb1, x2 and their inverses: the letters of every supported alphabet
-GENERATORS = [X0, X1, generator_xbar1(), generator_x(2)]
+GENERATORS = [X0, X1, multiply(X1, invert(X0)), generator_x(2)]
 GENERATORS += [invert(g) for g in GENERATORS]
 
 

@@ -98,6 +98,30 @@ def test_x2_is_the_conjugated_composition():
         assert (row["x2"] is not None) == has_nontrivial_right
 
 
+def test_letters_apply_the_steps_of_their_words():
+    P = forests.PRIMITIVES
+    assert sorted(P) == [("x0", -1), ("x0", 1), ("x1", -1), ("x1", 1)]
+    assert forests.letter_steps("x0@2") == (P["x0", 1],)
+    assert forests.letter_steps("xb1") == (P["x1", 1], P["x0", -1])
+    assert forests.letter_steps("xb1@2^-1") == (P["x0", 1], P["x1", -1])
+    assert forests.letter_steps("x2^-1") == (P["x0", -1], P["x1", -1], P["x0", 1])
+
+
+def test_a_token_added_to_the_words_acts_as_its_word(monkeypatch):
+    from fcayley import cayley
+
+    x3 = (("x0", -1), ("x0", -1), ("x1", 1), ("x0", 1), ("x0", 1))  # x0^-2 x1 x0^2
+    monkeypatch.setitem(cayley.WORDS, "x3", x3)
+    aut = bb_automaton(7, 3, GenAlphabet(("x0", "x1", "x3")))
+    for v, row in aut.slots.items():
+        for letter, word in (("x3", x3), ("x3^-1", [(g, -e) for g, e in reversed(x3)])):
+            w = v
+            for g, e in word:
+                w = w and aut.slots[w][g if e > 0 else g + "^-1"]
+            assert row[letter] == w, (v, letter)
+    assert any(row["x3"] for row in aut.slots.values())
+
+
 def test_enumerate_bb_small_counts():
     assert len(bb_automaton(2, 1, ALL)) == 3
     for n in range(1, 7):
@@ -244,16 +268,47 @@ def test_integer_core_matches_reference_action(spec):
 
 def test_action_leaving_bb_is_an_error(monkeypatch):
     # a merge that doubles the forest cannot land on a vertex of BB(n, k)
-    monkeypatch.setitem(forests.PRIMITIVES, ("x1", -1), (lambda tt, s, i, arg: (s + s, i), 0))
+    monkeypatch.setitem(forests.PRIMITIVES, ("x1", -1), lambda tt, s, i: (s + s, i))
     with pytest.raises(AssertionError, match="left BB"):
         bb_automaton(4, 2, make_alphabet("x0,x1"))
 
 
 def test_wrong_target_breaks_the_serre_pairing(monkeypatch):
     # x0 sending every marker to the first tree is not inverted by x0^-1
-    monkeypatch.setitem(forests.PRIMITIVES, ("x0", 1), (lambda tt, s, i, arg: (s, 0), 0))
+    monkeypatch.setitem(forests.PRIMITIVES, ("x0", 1), lambda tt, s, i: (s, 0))
     with pytest.raises(SerreViolation):
         bb_automaton(4, 2, make_alphabet("x0,x1"))
+
+
+def test_enumeration_is_checked_against_the_dp_count(monkeypatch):
+    count = counting.bb_count
+    monkeypatch.setattr(counting, "bb_count", lambda n, k: count(n, k) + 1)
+    with pytest.raises(AssertionError, match="enumerated 24 forests, DP counts 25"):
+        bb_automaton(4, 2, make_alphabet("x0,x1"))
+
+
+def test_shapes_keep_only_the_totals_they_read():
+    import tracemalloc
+
+    def every_total(tt, n):  # every total's shapes kept to the end
+        out = [[()]]
+        for total in range(1, n + 1):
+            out.append([(t,) + rest for size in range(1, total + 1)
+                        for t in tt.by_size[size] for rest in out[total - size]])
+        return out[n]
+
+    for k, n in itertools.product(range(0, 4), range(1, 10)):
+        tt = forests.TreeTable(k, n)
+        assert tt.shapes(n) == every_total(tt, n), (k, n)
+    tt = forests.TreeTable(0, 3000)
+    tracemalloc.start()
+    try:
+        shapes = tt.shapes(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(0,) * 3000]
+    assert peak < 1 << 20, peak  # every total kept: about 35 MiB
 
 
 def test_tree_table_matches_reference_trees():

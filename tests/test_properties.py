@@ -17,7 +17,6 @@ from fcayley.fgroup import (  # noqa: E402
     X0,
     X1,
     generator_x,
-    generator_xbar1,
     invert,
     multiply,
 )
@@ -26,7 +25,7 @@ from forest_ref import parse_forest  # noqa: E402
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
-GENERATORS = [X0, X1, generator_xbar1(), generator_x(2)]
+GENERATORS = [X0, X1, multiply(X1, invert(X0)), generator_x(2)]
 GENERATORS += [invert(g) for g in GENERATORS]
 LETTERS = [s + sfx for s in ("x0", "x1", "xb1", "x2") for sfx in ("", "^-1")]
 
