@@ -5,8 +5,8 @@ Modules:
             generators, the order-2 automorphism checked on elements
   cayley    alphabet tokens as words in x0 and x1, finite Cayley subgraphs
             (automata), balls, boundary/density reports, exact numbers, files
-  forests   Brown-Belk sets BB(n, k), acted on by two primitive moves and the
-            words composed from them
+  forests   Brown-Belk sets BB(n, k), acted on by two moves, x0 and x1, and the
+            words composed from them; an inverse letter inverts its letter
   counting  big-integer DP for |BB|, per-letter boundary counts, Y0, p and xi
   evac      evacuation-scheme solver, Hall witnesses, flow certificates
   cli       batch command-line front end

@@ -279,8 +279,6 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
     size = len(aut)
     density = Fraction(2 * m * size - cheeger, size)
     iota = Fraction(cheeger, size)
-    if density + iota != 2 * m:
-        raise AssertionError(f"delta + iota = {density + iota} != 2m = {2 * m}")
     outer = len(aut.outer) if aut.outer is not None else None
     return BoundaryReport(size=size, nu=nu, inner_boundary=inner,
                           outer_boundary=outer, cheeger=cheeger,

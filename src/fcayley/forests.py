@@ -1,21 +1,24 @@
 """Brown-Belk sets BB(n, k) of marked forests and the partial generator actions.
 
 BB(n, k) is the set of marked forests with n leaves whose trees all have
-height at most k.  F acts partially on the right by the primitive moves
+height at most k.  F acts partially on the right by two moves
 
   x0    move the marker one tree to the left (undefined at the left end),
   x1    split the marked caret (T1^T2) into T1, T2 and mark T1,
-  x1^-1 merge the marked tree with its right neighbour (both heights < k),
 
 and every other letter as its word in x0 and x1 (`cayley.WORDS`), step by
-step: xb1 = x1 x0^-1 marks T2 after the split.  Undefined moves return None.
+step: xb1 = x1 x0^-1 marks T2 after the split.  An edge v -a-> w of the
+Cayley graph is the edge w -a^-1-> v, so inside BB(n, k) the letter a^-1
+acts as the inverse partial map of a: x1^-1 merges the marked tree with its
+right neighbour where both have height < k.
 
 Vertex core.  A `TreeTable` builds and numbers the trees of height <= k
 with at most n leaves by leaf count, each caret a join of two smaller trees
 of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
 shape s marked at tree i, is numbered base[s] + i.  The action is one
-target column per primitive step: x0 is a range v -+ 1, a split or a merge
-one table lookup per vertex, and a word indexes the columns of its steps.
+target column per letter, -1 where undefined: x0 is the range v - 1, x1 one
+table lookup per vertex, a token's column indexes the columns of its word's
+steps, and a^-1 is a's column inverted; multiset copies share columns.
 Keys ("(..)*;." with "*" after the marked tree) are rendered once per vertex
 and kept in this shape order; only the file writer sorts them.
 """
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 from array import array
 
-from .cayley import (DEFAULT_BUDGET, INV, WORDS, Automaton, BudgetExceeded, GenAlphabet,
-                     base_symbol, exact_str, letter_symbol)
+from .cayley import (DEFAULT_BUDGET, WORDS, Automaton, BudgetExceeded, GenAlphabet,
+                     base_symbol, exact_str)
 
 MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
 
@@ -33,14 +36,13 @@ MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
 class TreeTable:
     """The trees of height <= k with at most n leaves, numbered by leaf count.
 
-    enc[t] and size[t] are the key ("." for a leaf, "(" + left + right + ")"
-    for a caret) and leaf count of tree t; split[t] is the pair (left, right)
-    of a caret, or None for the leaf; join inverts split, so it holds exactly
-    the pairs of trees of height < k whose caret fits.
+    enc[t] is the key of tree t ("." for the leaf, "(" + left + right + ")"
+    for a caret), split[t] the pair (left, right) of a caret or None for the
+    leaf, and by_size[s] the trees with s leaves.
     """
 
     def __init__(self, k: int, n: int):
-        self.enc, self.size, self.split, self.join = ["."], [1], [None], {}
+        self.enc, self.split = ["."], [None]
         height = [0]
         self.by_size: list[list[int]] = [[], [0]]
         low = [[], [0] if k > 0 else []]  # trees of height < k, by leaf count
@@ -49,13 +51,10 @@ class TreeTable:
             for nl in range(1, size):
                 for left in low[nl]:
                     for right in low[size - nl]:
-                        t = len(self.enc)
+                        new.append(len(self.enc))
                         self.enc.append("(" + self.enc[left] + self.enc[right] + ")")
-                        self.size.append(size)
                         self.split.append((left, right))
-                        self.join[left, right] = t
                         height.append(max(height[left], height[right]) + 1)
-                        new.append(t)
             self.by_size.append(new)
             low.append([t for t in new if height[t] < k])
 
@@ -77,26 +76,13 @@ def _split(tt: TreeTable, s: tuple, i: int):
     return None if pair is None else (s[:i] + pair + s[i + 1:], i)
 
 
-def _merge(tt: TreeTable, s: tuple, i: int):
-    """x1^-1: merge the marked tree with its right neighbour, both of height < k."""
-    t = tt.join.get(s[i:i + 2])
-    return None if t is None else (s[:i] + (t,) + s[i + 2:], i)
-
-
-# a step is a marker shift, which bb_automaton builds as a range column, or a
-# function of (tree table, shape, marked tree) for a split or a merge
-PRIMITIVES = {("x0", 1): -1, ("x0", -1): 1, ("x1", 1): _split, ("x1", -1): _merge}
-
-
-def letter_steps(letter: str) -> tuple:
-    """The primitive steps one letter applies, in order: the word of its token
-    in `cayley.WORDS`, reversed with negated exponents for an inverse letter."""
-    word = WORDS.get(base_symbol(letter_symbol(letter)))
-    if word is None:
-        raise ValueError(f"letter {letter!r} has no forest action")
-    if letter.endswith(INV):
-        word = [(g, -e) for g, e in reversed(word)]
-    return tuple(PRIMITIVES[step] for step in word)
+def _inverse(col: array) -> array:
+    """The partial map that undoes the injective column col (-1 where undefined)."""
+    inv = array("i", [-1]) * (len(col) + 1)
+    for v, w in enumerate(col):
+        inv[w] = v  # w = -1 writes the spare last entry
+    inv.pop()
+    return inv
 
 
 def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
@@ -108,8 +94,10 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         raise ValueError("k must be nonnegative")
     from . import counting
 
-    letters = alphabet.letters()
-    steps = [letter_steps(a) for a in letters]
+    words = {tok: WORDS.get(tok) for tok in map(base_symbol, alphabet.symbols)}
+    for tok, word in words.items():
+        if word is None:
+            raise ValueError(f"token {tok!r} has no forest action")
     # |BB(n, k)| >= n, and |BB(m, k)| <= |BB(n, k)| for m <= n (appending a
     # trivial tree is injective): counts at m = 1, 2, 4, ... refuse a budget
     # before the count table grows to n
@@ -137,32 +125,33 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
     if len(keys) != total:
         raise AssertionError(f"enumerated {len(keys)} forests, DP counts {total}")
 
-    # one target column per primitive step, shared by multiset copies
-    columns: dict = {}
-    for a, seq in zip(letters, steps):
-        for step in seq:
-            if step in columns:
-                continue
-            if isinstance(step, int):  # x0 moves: v + step inside each shape
-                col = array("i", range(step, total + step))
-                for s, v in base.items():
-                    col[v if step < 0 else v + len(s) - 1] = -1
-            else:
-                col = array("i")
-                for s in shapes:
-                    for i in range(len(s)):
-                        r = step(tt, s, i)
-                        v = base.get(r[0]) if r else -1
-                        if v is None:
-                            raise AssertionError(f"action {a!r} left BB({n},{k})")
-                        col.append(v + r[1] if r else -1)
-            columns[step] = col
-    d = len(letters)
-    tgt = array("i", [-1]) * (d * total)
-    for j, seq in enumerate(steps):
-        col = columns[seq[0]]
-        for step in seq[1:]:  # index the next column, -1 appended for index -1
-            col = array("i", map((columns[step] + array("i", [-1])).__getitem__, col))
-        tgt[j::d] = col
-    del columns, col  # the Serre check copies columns of tgt
+    # x0 shifts the marker left inside each shape, x1 splits the marked tree
+    x0 = array("i", range(-1, total - 1))
+    for v in base.values():
+        x0[v] = -1
+    x1 = array("i")
+    for s in shapes:
+        for i in range(len(s)):
+            r = _split(tt, s, i)
+            v = base.get(r[0]) if r else -1
+            if v is None:
+                raise AssertionError(f"x1 left BB({n},{k})")
+            x1.append(v + r[1] if r else -1)
+    moves = {("x0", 1): x0, ("x1", 1): x1}
+    # a token's column indexes the columns of its word's steps (-1 appended
+    # for index -1); slot a^-1 inverts slot a, and multiset copies share both
+    columns = {}
+    for tok, word in words.items():
+        for g, e in word:
+            if (g, e) not in moves:  # x0^-1 inverts x0
+                moves[g, e] = _inverse(moves[g, -e])
+        col = moves[word[0]]
+        for step in word[1:]:
+            col = array("i", map((moves[step] + array("i", [-1])).__getitem__, col))
+        columns[tok] = col, _inverse(col)
+    m = alphabet.m
+    tgt = array("i", [-1]) * (2 * m * total)
+    for j, sym in enumerate(alphabet.symbols):
+        tgt[j::2 * m], tgt[j + m::2 * m] = columns[base_symbol(sym)]
+    del x0, x1, moves, columns, col  # the Serre check copies columns of tgt
     return Automaton(alphabet, keys, tgt)

@@ -252,7 +252,12 @@ def test_empty_list_items_are_skipped(tmp_path):
     (["ball", "--r", "1", "--alphabet", ","], "empty alphabet spec ','"),
     (["sweep", "--k", "2", "--n", "5", "--alphabets", ";"], "no alphabets given"),
     (["bb", "--mode", "enumerate", "--n", "3", "--k", "-1"], "k must be nonnegative"),
-], ids=["ball-radius", "ball-alphabet", "sweep-alphabets", "bb-k"])
+    (["sweep", "--k", "2", "--n", "1:1000000000"],
+     "the sweep grid has 1,000,000,000 records, past the bound of 100,000"),
+    (["sweep", "--k", "0:9", "--n", "55537:65536"],
+     "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
+], ids=["ball-radius", "ball-alphabet", "sweep-alphabets", "bb-k", "sweep-grid",
+        "sweep-record-size"])
 def test_refused_arguments_name_their_fault(args, message, capsys):
     assert run(args) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"

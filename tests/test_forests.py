@@ -98,13 +98,15 @@ def test_x2_is_the_conjugated_composition():
         assert (row["x2"] is not None) == has_nontrivial_right
 
 
-def test_letters_apply_the_steps_of_their_words():
-    P = forests.PRIMITIVES
-    assert sorted(P) == [("x0", -1), ("x0", 1), ("x1", -1), ("x1", 1)]
-    assert forests.letter_steps("x0@2") == (P["x0", 1],)
-    assert forests.letter_steps("xb1") == (P["x1", 1], P["x0", -1])
-    assert forests.letter_steps("xb1@2^-1") == (P["x0", 1], P["x1", -1])
-    assert forests.letter_steps("x2^-1") == (P["x0", -1], P["x1", -1], P["x0", 1])
+def test_each_token_is_inverted_once(monkeypatch):
+    calls, inverse = [], forests._inverse
+    monkeypatch.setattr(forests, "_inverse", lambda col: calls.append(col) or inverse(col))
+    aut = bb_automaton(8, 3, make_alphabet("x0,xb1,xb1,x2,x2"))
+    assert len(calls) == 4  # x0^-1, and one inverse letter per distinct token
+    m = aut.alphabet.m
+    for a, b in ((1, 2), (3, 4)):  # multiset copies get the same columns, both ways
+        assert aut.tgt[a::2 * m] == aut.tgt[b::2 * m]
+        assert aut.tgt[a + m::2 * m] == aut.tgt[b + m::2 * m]
 
 
 def test_a_token_added_to_the_words_acts_as_its_word(monkeypatch):
@@ -266,16 +268,25 @@ def test_integer_core_matches_reference_action(spec):
         assert [f.enc for f in enumerate_bb(n, k)] == list(ref)
 
 
+@pytest.mark.parametrize("spec", ["x0,x1,xb1,x2", "x1,xb1,x0,x0"])
+def test_bb_10_4_matches_reference_action(spec):
+    # inverse letters are inverted columns; the reference merges directly
+    al = make_alphabet(spec)
+    assert dict(bb_automaton(10, 4, al).slots) == forest_ref.bb_rows(10, 4, al.letters())
+
+
 def test_action_leaving_bb_is_an_error(monkeypatch):
-    # a merge that doubles the forest cannot land on a vertex of BB(n, k)
-    monkeypatch.setitem(forests.PRIMITIVES, ("x1", -1), lambda tt, s, i: (s + s, i))
-    with pytest.raises(AssertionError, match="left BB"):
+    # a split that doubles the forest cannot land on a vertex of BB(n, k)
+    monkeypatch.setattr(forests, "_split", lambda tt, s, i: (s + s, i))
+    with pytest.raises(AssertionError, match="x1 left BB"):
         bb_automaton(4, 2, make_alphabet("x0,x1"))
 
 
 def test_wrong_target_breaks_the_serre_pairing(monkeypatch):
-    # x0 sending every marker to the first tree is not inverted by x0^-1
-    monkeypatch.setitem(forests.PRIMITIVES, ("x0", 1), lambda tt, s, i: (s, 0))
+    # x1 splitting the first tree wherever the marker is sends several forests
+    # to one, so no inverse column pairs with it
+    split = forests._split
+    monkeypatch.setattr(forests, "_split", lambda tt, s, i: split(tt, s, 0))
     with pytest.raises(SerreViolation):
         bb_automaton(4, 2, make_alphabet("x0,x1"))
 
@@ -318,13 +329,15 @@ def test_tree_table_matches_reference_trees():
         for size in range(1, n + 1):
             ref = enumerate_trees(size, k)
             assert [tt.enc[t] for t in tt.by_size[size]] == [r.enc for r in ref], (k, n)
-            assert all(tt.size[t] == size for t in tt.by_size[size])
             height.update((r.enc, r.height) for r in ref)
+        leaves = {t: size for size, trees in enumerate(tt.by_size) for t in trees}
+        assert sorted(leaves) == list(range(len(tt.enc))), (k, n)
+        assert all(tt.enc[t].count(".") == size for t, size in leaves.items()), (k, n)
         low = [t for t, e in enumerate(tt.enc) if height[e] < k]
+        carets = []
         for t, pair in enumerate(tt.split):
             if pair is not None:
                 assert tt.enc[t] == "(" + tt.enc[pair[0]] + tt.enc[pair[1]] + ")"
-                assert tt.join[pair] == t
-        assert all(tt.split[t] == pair for pair, t in tt.join.items())
-        assert set(tt.join) == {(a, b) for a in low for b in low
-                                if tt.size[a] + tt.size[b] <= n}, (k, n)
+                carets.append(pair)
+        assert sorted(carets) == sorted((a, b) for a in low for b in low
+                                        if leaves[a] + leaves[b] <= n), (k, n)
