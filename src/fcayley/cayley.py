@@ -7,12 +7,13 @@ Mutually inverse slots must pair up (Serre condition).
 
 Letters are strings: a positive letter is its symbol name, the inverse
 carries the suffix "^-1".  A multiset alphabet uses distinct symbol names
-bound to equal group values (e.g. "x0" and "x0@2").
+bound to equal group values (e.g. "x0" and "x0@2").  `GenAlphabet` is the
+one reader and writer of these names.
 
 Vertex core.  An automaton is the tuple `keys` (vertex i is keys[i]), in
 the order its builder or file gives, and one flat array `tgt`:
 tgt[i * 2m + j] is the vertex that slot j of vertex i targets, or -1 for a
-boundary slot, slots in `letters()` order, so slot (j + m) mod 2m is the
+boundary slot, slots in `letters` order, so slot (j + m) mod 2m is the
 inverse of slot j.  Builders, the Serre check, reports, the evacuation
 helpers and the file writer work on these integers; key strings are
 rendered once per vertex, and `slots` rows only for tests and tools.  Only
@@ -38,15 +39,6 @@ INV = "^-1"
 # elements), kept here so that the command-line parser can show it without
 # importing forests.
 DEFAULT_BUDGET = 10_000_000
-
-
-def letter_symbol(letter: str) -> str:
-    return letter[: -len(INV)] if letter.endswith(INV) else letter
-
-
-def base_symbol(symbol: str) -> str:
-    """Strip the multiset disambiguation suffix: "x0@2" -> "x0"."""
-    return symbol.split("@", 1)[0]
 
 
 class SerreViolation(ValueError):
@@ -80,7 +72,12 @@ BASE_VALUES = {tok: _word_value(word) for tok, word in WORDS.items()}
 
 
 class GenAlphabet:
-    """Ordered multiset of generator symbols, optionally bound to F elements."""
+    """Ordered multiset of generator symbols, optionally bound to F elements.
+
+    tokens[j] is symbol j without its copy suffix ("x0@2" -> "x0"), and
+    `letters` the symbols, then each symbol + "^-1": slot j + m is the
+    inverse of slot j.
+    """
 
     def __init__(self, symbols: list[str] | tuple[str, ...],
                  values: dict[str, FElement] | None = None):
@@ -93,6 +90,8 @@ class GenAlphabet:
             if s.endswith(INV) or ";" in s or "|" in s:
                 raise ValueError(f"bad symbol name {s!r}")
         self.symbols = symbols
+        self.tokens = tuple(s.split("@", 1)[0] for s in symbols)
+        self.letters = symbols + tuple(s + INV for s in symbols)
         self.values = dict(values) if values else None
         if self.values is not None:
             missing = [s for s in symbols if s not in self.values]
@@ -103,20 +102,8 @@ class GenAlphabet:
     def m(self) -> int:
         return len(self.symbols)
 
-    def letters(self) -> list[str]:
-        return [s for s in self.symbols] + [s + INV for s in self.symbols]
-
-    def has_values(self) -> bool:
-        return self.values is not None
-
-    def value(self, letter: str) -> FElement:
-        if self.values is None:
-            raise ValueError("abstract alphabet has no group values")
-        v = self.values[letter_symbol(letter)]
-        return fgroup.invert(v) if letter.endswith(INV) else v
-
     def spec(self) -> str:
-        return ",".join(base_symbol(s) for s in self.symbols)
+        return ",".join(self.tokens)
 
     def __eq__(self, other):
         return isinstance(other, GenAlphabet) and self.symbols == other.symbols
@@ -174,7 +161,7 @@ class Automaton:
                 break
         else:
             return
-        keys, letters = self.keys, self.alphabet.letters()
+        keys, letters = self.keys, self.alphabet.letters
         for e, w in enumerate(tgt):
             a, b = e % d, (e + m) % d
             if w >= 0 and tgt[w * d + b] != e // d:
@@ -190,7 +177,7 @@ class Automaton:
     @cached_property
     def slots(self) -> MappingProxyType:
         """Read-only rows letter -> target key or None, built on first use."""
-        keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
+        keys, letters, d = self.keys, self.alphabet.letters, 2 * self.alphabet.m
         return MappingProxyType({v: {a: keys[w] if w >= 0 else None
                                      for a, w in zip(letters, self.tgt[i * d:i * d + d])}
                                  for i, v in enumerate(keys)})
@@ -209,7 +196,7 @@ class Automaton:
 
     def directed_edges(self) -> list[tuple[str, str, str]]:
         """All accepted directed edges as (source, letter, target) triples."""
-        keys, letters, d = self.keys, self.alphabet.letters(), 2 * self.alphabet.m
+        keys, letters, d = self.keys, self.alphabet.letters, 2 * self.alphabet.m
         return [(keys[e // d], letters[e % d], keys[w]) for e, w in enumerate(self.tgt) if w >= 0]
 
 
@@ -273,7 +260,7 @@ def boundary_report(aut: Automaton) -> BoundaryReport:
     from fractions import Fraction
 
     m = aut.alphabet.m
-    nu = {a: aut.tgt[j::2 * m].count(-1) for j, a in enumerate(aut.alphabet.letters())}
+    nu = {a: aut.tgt[j::2 * m].count(-1) for j, a in enumerate(aut.alphabet.letters)}
     inner = sum(aut.boundary_flags())
     cheeger = sum(nu.values())
     size = len(aut)
@@ -302,9 +289,10 @@ def ball(r: int, alphabet: GenAlphabet) -> Automaton:
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if not alphabet.has_values():
+    if alphabet.values is None:
         raise ValueError("ball construction needs an alphabet with group values")
-    values = list(map(alphabet.value, alphabet.letters()))
+    values = [alphabet.values[s] for s in alphabet.symbols]
+    values += [fgroup.invert(v) for v in values]  # slot j + m inverts slot j
     refusal = f"the ball of radius {r} exceeds the budget of {DEFAULT_BUDGET:,} leaves"
     # F is torsion-free: a letter a != 1 makes 2r + 1 elements a^-r .. a^r
     if 2 * r + 1 > DEFAULT_BUDGET and any(len(dd) > 1 for dd, _ in values):
@@ -343,7 +331,7 @@ FORMAT_NAME = "fcayley-automaton"
 
 
 def _values_obj(alphabet: GenAlphabet) -> dict | None:
-    if not alphabet.has_values():
+    if alphabet.values is None:
         return None
     return {s: alphabet.values[s].key for s in alphabet.symbols}
 
@@ -370,20 +358,20 @@ def automaton_from_obj(obj: dict) -> Automaton:
                                   and all(isinstance(v, str) for v in outer)):
         raise AutomatonFormatError("outer must be a list of vertex keys")
     values_obj = obj.get("values")
-    values = None
-    if values_obj:
-        if not (isinstance(values_obj, dict)
-                and all(isinstance(k, str) for k in values_obj.values())):
-            raise AutomatonFormatError("values must map symbols to 'domain|range' keys")
-        unknown = sorted(set(values_obj) - set(symbols))
-        if unknown:
-            raise AutomatonFormatError(f"values for symbols outside the alphabet: {unknown}")
-        try:
-            values = {s: element_from_key(k) for s, k in values_obj.items()}
-        except ValueError as exc:
-            raise AutomatonFormatError(str(exc)) from None
+    if values_obj is None:
+        values_obj = {}  # null, like {}, binds no values
+    if not (isinstance(values_obj, dict)
+            and all(isinstance(k, str) for k in values_obj.values())):
+        raise AutomatonFormatError("values must map symbols to 'domain|range' keys")
+    unknown = sorted(set(values_obj) - set(symbols))
+    if unknown:
+        raise AutomatonFormatError(f"values for symbols outside the alphabet: {unknown}")
+    try:
+        values = {s: element_from_key(k) for s, k in values_obj.items()}
+    except ValueError as exc:
+        raise AutomatonFormatError(str(exc)) from None
     alphabet = GenAlphabet(symbols, values)
-    letters = alphabet.letters()
+    letters = alphabet.letters
     d = len(letters)
     slot = {a: j for j, a in enumerate(letters)}
     index = {v: i for i, v in enumerate(vertices)}

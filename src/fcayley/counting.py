@@ -41,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
-from .cayley import INV, base_symbol, exact_str, rational_fields
+from .cayley import GenAlphabet, exact_str, rational_fields
 
 
 def _coef(P: list[int], series: list[int], n: int) -> int:
@@ -190,27 +190,26 @@ def density_report(t: CountTable, n: int, symbols) -> DensityRecord:
     to at least n leaves."""
     if not 1 <= n <= t.n_max:
         raise ValueError(f"n = {n} is outside the table's 1..{t.n_max} leaves")
-    symbols = tuple(symbols)
+    al = GenAlphabet(symbols)
     F, size, s1 = t.F, t.marked(n), t.S(n - 1)
-    by_base = {  # a letter's count; its inverse's agrees by the identities above
+    by_token = {  # a letter's count; its inverse's agrees by the identities above
         "x0": F[n],  # marker leftmost / rightmost
         "x1": s1,  # marked tree trivial / no right neighbour to merge with
         "xb1": s1,  # the same, with the left neighbour
         "x2": F[n] + s1 - F[n - 1],  # no or a trivial right neighbour / no two to merge
     }
+    m = al.m
     nu: dict[str, int] = {}
-    for sym in symbols:
-        base = base_symbol(sym)
-        if base not in by_base:
+    for sym, tok, inv in zip(al.symbols, al.tokens, al.letters[m:]):
+        if tok not in by_token:
             raise ValueError(f"unsupported letter {sym!r}")
-        nu[sym] = nu[sym + INV] = by_base[base]
-    m = len(symbols)
+        nu[sym] = nu[inv] = by_token[tok]
     cheeger = sum(nu.values())
     density = Fraction(2 * m * size - cheeger, size)
     iota = Fraction(cheeger, size)
     return DensityRecord(
         n=n, k=t.k,
-        alphabet=",".join(base_symbol(s) for s in symbols),
+        alphabet=al.spec(),
         size=size, nu=nu, density=density, iota=iota,
         p=Fraction(t.y0(n), size),
         xi=Fraction(s1 - F[n - 1], size) if n >= 2 else None,

@@ -84,7 +84,7 @@ SolveResult = namedtuple("SolveResult", "exists scheme witness")  # scheme or wi
 def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
     """Raise SchemeValidationError unless the scheme is a valid evacuation
     scheme on the automaton (purity conditions included when K = 1)."""
-    keys, letters, index, tgt = aut.keys, aut.alphabet.letters(), aut.index, aut.tgt
+    keys, letters, index, tgt = aut.keys, aut.alphabet.letters, aut.index, aut.tgt
     d, arc = len(letters), _arc_finder(aut)
     boundary = aut.boundary_flags()
     if set(scheme.paths) != set(keys):
@@ -125,7 +125,7 @@ def _arc_finder(aut: Automaton):
     """(u, a, w) -> arc number of that edge, or -1 for a non-edge or an
     unknown u, a or w: tgt[index[u] * 2m + slot[a]] == index[w]."""
     index, tgt = aut.index, aut.tgt
-    slot = {a: j for j, a in enumerate(aut.alphabet.letters())}
+    slot = {a: j for j, a in enumerate(aut.alphabet.letters)}
 
     def arc(u, a, w) -> int:
         e = index[u] * len(slot) + slot[a] if u in index and a in slot else -1
@@ -199,7 +199,7 @@ def _search(tgt, f, K, d, is_boundary, s) -> tuple[dict[int, int], int]:
 def _paths(aut: Automaton, f, sink) -> dict[str, tuple[Edge, ...]]:
     """Every vertex's path, as edge triples, along the flow f (consumed) to
     the vertices flagged in `sink`; a sink's own path is empty."""
-    keys, letters, tgt, d = aut.keys, aut.alphabet.letters(), aut.tgt, 2 * aut.alphabet.m
+    keys, letters, tgt, d = aut.keys, aut.alphabet.letters, aut.tgt, 2 * aut.alphabet.m
     return {keys[s]: tuple((keys[e // d], letters[e % d], keys[tgt[e]])
                            for e in _walk(tgt, f, d, sink, s))
             for s in range(len(keys))}
@@ -275,7 +275,7 @@ def _fraction(x) -> Fraction:
 def _edge(aut: Automaton, e) -> Edge:
     """The (source, letter, target) triple of the accepted arc e."""
     d = 2 * aut.alphabet.m
-    return aut.keys[e // d], aut.alphabet.letters()[e % d], aut.keys[aut.tgt[e]]
+    return aut.keys[e // d], aut.alphabet.letters[e % d], aut.keys[aut.tgt[e]]
 
 
 def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:

@@ -18,7 +18,8 @@ of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
 shape s marked at tree i, is numbered base[s] + i.  The action is one
 target column per letter, -1 where undefined: x0 is the range v - 1, x1 one
 table lookup per vertex, a token's column indexes the columns of its word's
-steps, and a^-1 is a's column inverted; multiset copies share columns.
+steps, and a^-1 is a's column inverted, each column at most once per
+build; multiset copies share columns.
 Keys ("(..)*;." with "*" after the marked tree) are rendered once per vertex
 and kept in this shape order; only the file writer sorts them.
 """
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 from array import array
 
-from .cayley import (DEFAULT_BUDGET, WORDS, Automaton, BudgetExceeded, GenAlphabet,
-                     base_symbol, exact_str)
+from .cayley import DEFAULT_BUDGET, WORDS, Automaton, BudgetExceeded, GenAlphabet, exact_str
 
 MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
 
@@ -94,7 +94,7 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
         raise ValueError("k must be nonnegative")
     from . import counting
 
-    words = {tok: WORDS.get(tok) for tok in map(base_symbol, alphabet.symbols)}
+    words = {tok: WORDS.get(tok) for tok in alphabet.tokens}
     for tok, word in words.items():
         if word is None:
             raise ValueError(f"token {tok!r} has no forest action")
@@ -138,20 +138,25 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
                 raise AssertionError(f"x1 left BB({n},{k})")
             x1.append(v + r[1] if r else -1)
     moves = {("x0", 1): x0, ("x1", 1): x1}
+
+    def move(g: str, e: int) -> array:
+        if (g, e) not in moves:  # x0^-1 inverts x0, once per build
+            moves[g, e] = _inverse(moves[g, -e])
+        return moves[g, e]
+
     # a token's column indexes the columns of its word's steps (-1 appended
-    # for index -1); slot a^-1 inverts slot a, and multiset copies share both
+    # for index -1); slot a^-1 inverts slot a, the opposite move for a word
+    # of one step, and multiset copies share both
     columns = {}
     for tok, word in words.items():
-        for g, e in word:
-            if (g, e) not in moves:  # x0^-1 inverts x0
-                moves[g, e] = _inverse(moves[g, -e])
-        col = moves[word[0]]
-        for step in word[1:]:
-            col = array("i", map((moves[step] + array("i", [-1])).__getitem__, col))
-        columns[tok] = col, _inverse(col)
+        (g, e), rest = word[0], word[1:]
+        col = move(g, e)
+        for step in rest:
+            col = array("i", map((move(*step) + array("i", [-1])).__getitem__, col))
+        columns[tok] = col, _inverse(col) if rest else move(g, -e)
     m = alphabet.m
     tgt = array("i", [-1]) * (2 * m * total)
-    for j, sym in enumerate(alphabet.symbols):
-        tgt[j::2 * m], tgt[j + m::2 * m] = columns[base_symbol(sym)]
+    for j, tok in enumerate(alphabet.tokens):
+        tgt[j::2 * m], tgt[j + m::2 * m] = columns[tok]
     del x0, x1, moves, columns, col  # the Serre check copies columns of tgt
     return Automaton(alphabet, keys, tgt)

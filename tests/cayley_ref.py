@@ -2,7 +2,8 @@
 
 `fcayley.cayley` builds automata on the integer core (keys in builder or
 file order and a flat target array) and writes files straight from it.  This module keeps
-what only tests run: letter inverses, the builder from rows letter ->
+what only tests run: its own parsers of letter names (a letter's inverse,
+symbol, copy-free token and group value), the builder from rows letter ->
 target key or None, slot and edge queries on keys, induced sub-automata
 built on `fgroup.multiply`, the JSON object of a file, whose `json.dump`
 bytes are the reference for `save_automaton`, and the rounding of a
@@ -15,17 +16,33 @@ from array import array
 from fractions import Fraction
 
 from fcayley.cayley import INV, FORMAT_NAME, Automaton, AutomatonFormatError, GenAlphabet
-from fcayley.fgroup import element_from_key, multiply
+from fcayley.fgroup import FElement, element_from_key, invert, multiply
 
 
 def letter_inverse(letter: str) -> str:
     return letter[: -len(INV)] if letter.endswith(INV) else letter + INV
 
 
+def letter_symbol(letter: str) -> str:
+    """The symbol of a letter: "x0@2^-1" -> "x0@2"."""
+    return letter[: -len(INV)] if letter.endswith(INV) else letter
+
+
+def base_symbol(symbol: str) -> str:
+    """A symbol without its copy suffix: "x0@2" -> "x0"."""
+    return symbol.split("@", 1)[0]
+
+
+def letter_value(alphabet: GenAlphabet, letter: str) -> FElement:
+    """The group value of a letter of an alphabet with values."""
+    v = alphabet.values[letter_symbol(letter)]
+    return invert(v) if letter.endswith(INV) else v
+
+
 def automaton_from_rows(alphabet: GenAlphabet, slots: dict[str, dict[str, str | None]],
                         outer: frozenset[str] | None = None) -> Automaton:
     """Automaton from rows letter -> target key or None, one per vertex."""
-    letters = alphabet.letters()
+    letters = alphabet.letters
     index = {v: i for i, v in enumerate(slots)}
     for v, row in slots.items():
         if row.keys() != set(letters):
@@ -38,7 +55,7 @@ def automaton_from_rows(alphabet: GenAlphabet, slots: dict[str, dict[str, str | 
 
 
 def accepts(aut: Automaton, v: str, letter: str) -> bool:
-    letters = aut.alphabet.letters()
+    letters = aut.alphabet.letters
     return aut.tgt[aut.index[v] * len(letters) + letters.index(letter)] >= 0
 
 
@@ -63,7 +80,7 @@ def restrict(aut: Automaton, keys) -> Automaton:
 def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
     """Automaton induced by explicit element keys (decoded as reduced pairs),
     with the products that leave the set as its outer boundary."""
-    if not alphabet.has_values():
+    if alphabet.values is None:
         raise ValueError("induced subgraph needs an alphabet with group values")
     elements = {}
     for key in keys:
@@ -75,7 +92,7 @@ def induced_subgraph(keys, alphabet: GenAlphabet) -> Automaton:
         raise ValueError("empty vertex set")
     rows, outer = {}, set()
     for v, g in elements.items():
-        row = {a: multiply(g, alphabet.value(a)).key for a in alphabet.letters()}
+        row = {a: multiply(g, letter_value(alphabet, a)).key for a in alphabet.letters}
         outer.update(w for w in row.values() if w not in elements)
         rows[v] = {a: w if w in elements else None for a, w in row.items()}
     return automaton_from_rows(alphabet, rows, frozenset(outer))
@@ -90,7 +107,7 @@ def automaton_to_obj(aut: Automaton) -> dict:
         "alphabet": list(al.symbols),
         "vertices": sorted(aut.keys),
         "edges": [list(e) for e in sorted(geometric_edges(aut))],
-        "values": {s: al.values[s].key for s in al.symbols} if al.has_values() else None,
+        "values": {s: al.values[s].key for s in al.symbols} if al.values else None,
     }
     if aut.outer is not None:
         obj["outer"] = sorted(aut.outer)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from cayley_ref import letter_inverse
-from fcayley.cayley import INV, Automaton, base_symbol, letter_symbol
+from cayley_ref import base_symbol, letter_inverse, letter_symbol
+from fcayley.cayley import INV, Automaton
 from fcayley.evac import (
     Edge,
     EvacScheme,

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from fcayley.cayley import INV, base_symbol, letter_symbol
+from cayley_ref import base_symbol, letter_symbol
+from fcayley.cayley import INV
 from fcayley.counting import density_report, table
 from tree_pairs import caret, enumerate_trees, parse_tree
 

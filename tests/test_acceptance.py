@@ -213,7 +213,7 @@ def partial_injections(n):
 def injections_to_automaton(n, injections, symbols):
     names = [f"v{i}" for i in range(n)]
     al = GenAlphabet(symbols)
-    slots = {v: {a: None for a in al.letters()} for v in names}
+    slots = {v: {a: None for a in al.letters} for v in names}
     for sym, inj in zip(symbols, injections):
         for u, w in inj.items():
             slots[names[u]][sym] = names[w]

@@ -503,9 +503,11 @@ AUTOMATON = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"
     ({**AUTOMATON, "alphabet": ["a|b"], "edges": []}, "bad symbol name 'a|b'"),
     ({**AUTOMATON, "alphabet": ["a", "b"], "values": {"a": ".|."}},
      "symbols without values: ['b']"),
+    ({**AUTOMATON, "values": []}, "values must map symbols to 'domain|range' keys"),
+    ({**AUTOMATON, "values": False}, "values must map symbols to 'domain|range' keys"),
 ], ids=["missing-field", "duplicate-vertex", "unknown-letter", "unknown-vertex", "list",
         "no-vertices", "no-symbols", "repeated-symbol", "inverse-symbol", "semicolon-symbol",
-        "bar-symbol", "missing-values"])
+        "bar-symbol", "missing-values", "values-list", "values-false"])
 def test_automaton_file_refusals_name_their_fault(tmp_path, capsys, obj, message):
     path = tmp_path / "aut.json"
     path.write_text(json.dumps(obj))

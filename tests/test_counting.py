@@ -311,6 +311,12 @@ def test_density_report_identity_and_fields():
     assert Fraction(obj["iota"]) == rec.iota
 
 
+def test_density_report_refuses_symbols_that_are_not_an_alphabet():
+    # two copies of one symbol would count one letter's boundary for both
+    with pytest.raises(ValueError, match="alphabet symbols must be distinct"):
+        density_report(table(2, 6), 6, ("x0", "x0"))
+
+
 def test_xi_k0_is_harmonic():
     t = table(0, 11)
     for n in range(2, 12):

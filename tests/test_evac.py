@@ -57,7 +57,7 @@ def path_automaton(n_vertices):
 def random_serre_automaton(rng, n_vertices, m, keep=0.7):
     al = GenAlphabet(tuple("abcd"[:m]))
     verts = [f"v{i:02d}" for i in range(n_vertices)]
-    slots = {v: {a: None for a in al.letters()} for v in verts}
+    slots = {v: {a: None for a in al.letters} for v in verts}
     for sym in al.symbols:
         doms = [v for v in verts if rng.random() < keep]
         imgs = rng.sample(verts, len(doms))
@@ -281,7 +281,7 @@ def test_scheme_to_relation_ball1():
     assert rel.index[fgroup.IDENTITY.key] == 1
     assert rel.index[head] == -1
     # every pair spans an edge of the automaton
-    assert any(aut.slots[tail][a] == head for a in aut.alphabet.letters())
+    assert any(aut.slots[tail][a] == head for a in aut.alphabet.letters)
 
 
 def test_relation_to_scheme_single_edge():
@@ -469,8 +469,8 @@ def test_accepted_certificate_implies_inequality():
 def test_relabel_single_x2_edge():
     al = GenAlphabet(("x0", "x1", "x2"))
     slots = {
-        "p": {a: None for a in al.letters()},
-        "q": {a: None for a in al.letters()},
+        "p": {a: None for a in al.letters},
+        "q": {a: None for a in al.letters},
     }
     slots["p"]["x2"] = "q"
     slots["q"]["x2^-1"] = "p"
@@ -485,8 +485,8 @@ def test_relabel_single_x2_edge():
 def test_relabel_single_x1_edge():
     al = GenAlphabet(("x0", "x1", "x2"))
     slots = {
-        "p": {a: None for a in al.letters()},
-        "q": {a: None for a in al.letters()},
+        "p": {a: None for a in al.letters},
+        "q": {a: None for a in al.letters},
     }
     slots["p"]["x1"] = "q"
     slots["q"]["x1^-1"] = "p"
