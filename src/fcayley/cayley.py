@@ -105,9 +105,6 @@ class GenAlphabet:
     def spec(self) -> str:
         return ",".join(self.tokens)
 
-    def __eq__(self, other):
-        return isinstance(other, GenAlphabet) and self.symbols == other.symbols
-
     def __repr__(self):
         return f"GenAlphabet({self.spec()!r})"
 

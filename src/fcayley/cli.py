@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 # counting, evac, forests, csv and datetime are imported where they are used:
@@ -133,36 +132,24 @@ def _parse_int_list(text: str, option: str) -> list[range]:
     return out
 
 
-def sweep_records(k_values, n_values, alphabet_specs, threads: int = 1):
+def sweep_records(k_values, n_values, alphabet_specs):
     """Density/xi/p records over a (k, n, alphabet) grid, ordered as nested loops."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     from . import counting
 
-    # one job per height cap, so no two workers build the same count table
-    jobs = [(k, n_values, alphabet_specs) for k in k_values]
-    # the CPUs this process may run on, so taskset and cpusets count
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(threads, len(jobs), cpus)
-    # each worker builds its own table, so each gets a share of the bound;
-    # every cap is checked here before any table is built or worker starts
+    # every cap and n is checked before the first table is built
+    if min(n_values) < 1:
+        raise ValueError("n must be positive")
     for k in k_values:
-        counting.check_table(k, max(n_values), counting.MAX_MIB // workers)
-    if workers > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            return [rec for recs in pool.map(_sweep_k, jobs) for rec in recs]
-    return [rec for job in jobs for rec in _sweep_k(job)]
+        counting.check_table(k, max(n_values))
+    symbols = [make_alphabet(spec).symbols for spec in alphabet_specs]
+    return [rec for k in k_values for rec in _sweep_k(k, n_values, symbols)]
 
 
-def _sweep_k(job):
+def _sweep_k(k, n_values, symbols):
+    """The records of one height cap, off one table that is freed on return."""
     from . import counting
 
-    k, n_values, specs = job
-    symbols = [make_alphabet(spec).symbols for spec in specs]
-    t = counting.table(k, max(n_values))  # one table per cap, built for the largest n
+    t = counting.table(k, max(n_values))  # built for the largest n
     return [counting.density_report(t, n, syms) for n in n_values for syms in symbols]
 
 
@@ -207,7 +194,7 @@ def cmd_sweep(args) -> int:
                          f"past the bound of {MAX_RECORD_MIB:,} MiB")
     k_values = [k for r in k_ranges for k in r]
     n_values = [n for r in n_ranges for n in r]
-    records = sweep_records(k_values, n_values, specs, threads=args.threads)
+    records = sweep_records(k_values, n_values, specs)
     if args.format == "csv":
         _sweep_csv(records, args.out)
     else:
@@ -315,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma list or lo:hi ranges")
     p.add_argument("--alphabets", default="x0,x1",
                    help="semicolon-separated alphabet specs")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1; at most the usable CPUs)")
     output(p, "write the records to this path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)

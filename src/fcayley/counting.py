@@ -77,8 +77,6 @@ class CountTable:
     """The series F and G of one height cap up to n_max leaves."""
 
     def __init__(self, k: int, n_max: int):
-        if k < 0:
-            raise ValueError("k must be nonnegative")
         self.k, self.F, self.G = k, [1], [0]
         F, G = self.F, self.G
         if _circuit(k, n_max):
@@ -138,22 +136,24 @@ def _build_bits(k: int, n: int) -> int:
     return 2 * series
 
 
-def check_table(k: int, n: int, mib: int) -> None:
-    """Refuse a count table for a height cap up to n leaves whose build
-    would pass `mib` MiB, or n < 1."""
+def check_table(k: int, n: int) -> None:
+    """Refuse a count table for a height cap k < 0, up to n < 1 leaves, or
+    whose build would pass MAX_MIB."""
     if n < 1:
         raise ValueError("n must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     bits = _build_bits(k, n)
-    if bits > mib << 23:
+    if bits > MAX_MIB << 23:
         raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
                          f"up to {-(-bits >> 23):,} MiB to build, past the bound "
-                         f"of {mib:,} MiB")
+                         f"of {MAX_MIB:,} MiB")
 
 
 def table(k: int, n: int) -> CountTable:
     """A new count table for a height cap up to n >= 1 leaves, refused before
     it is built when its build would pass MAX_MIB."""
-    check_table(k, n, MAX_MIB)
+    check_table(k, n)
     return CountTable(k, n)
 
 

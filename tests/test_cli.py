@@ -272,6 +272,7 @@ def test_evac_refuses_a_constant_below_one(tmp_path, capsys):
 
 def test_n_below_one_is_usage_error(capsys):
     for args in (["sweep", "--k", "3", "--n", "0"], ["sweep", "--k", "3", "--n=-3"],
+                 ["sweep", "--k", "3", "--n", "0,5"],
                  ["bb", "--mode", "count", "--n", "0", "--k", "3"],
                  ["bb", "--mode", "enumerate", "--n", "0", "--k", "1"]):
         assert run(args) == EXIT_VALIDATION, args
@@ -310,6 +311,26 @@ def test_sweep_builds_one_table_per_cap(monkeypatch):
     assert built == [(k, 300) for k in range(7)]
 
 
+def test_sweep_holds_one_table_at_a_time(monkeypatch):
+    import weakref
+
+    from fcayley import counting
+
+    alive = weakref.WeakSet()
+    held = []  # how many tables are alive as each one is constructed
+
+    class Tracked(counting.CountTable):
+        def __init__(self, k, n_max):
+            alive.add(self)
+            held.append(len(alive))
+            super().__init__(k, n_max)
+
+    monkeypatch.setattr(counting, "CountTable", Tracked)
+    assert run(["sweep", "--k", "0:6", "--n", "1:40,300",
+                "--out", os.devnull]) == EXIT_OK
+    assert held == [1] * 7
+
+
 def test_missing_file_is_validation_error(tmp_path):
     code = run(["evac", "--automaton", str(tmp_path / "nope.json")])
     assert code == EXIT_VALIDATION
@@ -331,18 +352,10 @@ def test_evac_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_threads_match_serial(tmp_path):
-    a, b = tmp_path / "serial.json", tmp_path / "pool.json"
-    base = ["sweep", "--k", "1,2,3", "--n", "6,8", "--alphabets", "x0,x1;x1,x0,x2",
-            "--no-timestamp"]
-    assert run(base + ["--out", str(a)]) == EXIT_OK
-    assert run(base + ["--threads", "2", "--out", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_flags_of_other_subcommands_are_usage_errors(tmp_path):
     for args in (["evac", "--automaton", str(tmp_path / "a.json"), "--format", "csv"],
-                 ["ball", "--r", "1", "--threads", "2"]):
+                 ["ball", "--r", "1", "--threads", "2"],
+                 ["sweep", "--k", "1", "--n", "4", "--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
             run(args)
         assert exc.value.code == EXIT_VALIDATION, args
@@ -354,80 +367,18 @@ def test_bb_count_mode_rejects_csv(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-def test_sweep_threads_below_one_is_usage_error(tmp_path, capsys):
-    code = run(["sweep", "--k", "1", "--n", "4", "--threads", "-1",
-                "--out", str(tmp_path / "s.json")])
-    assert code == EXIT_VALIDATION
-    assert "error:" in capsys.readouterr().err
-
-
-def test_sweep_workers_clamped(monkeypatch):
-    import concurrent.futures
-    import os
-
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers, **options):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    records = sweep_records([0, 1, 2, 3, 4, 5], [4, 5], ["x0,x1"], threads=10000)
-    assert started == [4] and len(records) == 12  # no more workers than CPUs
-    sweep_records([1, 2], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
-    assert started == [4, 2]  # no more workers than height caps
-    sweep_records([1], [4, 5, 6], ["x0,x1", "x1,x0"], threads=10000)
-    assert started == [4, 2]  # one height cap runs in this process
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
-def test_sweep_workers_share_the_table_bound(monkeypatch):
-    from fcayley import counting
-
-    monkeypatch.setattr(counting, "MAX_MIB", 2)
-    # a table of 2,100 leaves takes 2 MiB to build: within the bound, past half of it
-    assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
-    with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
-        sweep_records([2, 3], [2100], ["x0"], threads=2)
-
-
 def test_refused_serial_sweep_builds_no_table(monkeypatch):
     from fcayley import counting
 
+    monkeypatch.setattr(counting, "MAX_MIB", 2)
+    # a table of 2,100 leaves takes 2 MiB to build, within the bound
+    assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
     built = []
     monkeypatch.setattr(counting, "CountTable", lambda k, n_max: built.append(k) or 1 / 0)
-    monkeypatch.setattr(counting, "MAX_MIB", 2)
     # k = 2 up to 1,000 leaves fits in 2 MiB, k = 12 needs 3 MiB of circuit registers
     with pytest.raises(ValueError, match="k = 12 up to n = 1000 leaves takes up to 3 MiB"):
         sweep_records([2, 12], [1000], ["x0"])
     assert built == []
-
-
-def test_refused_sweep_starts_no_worker(monkeypatch):
-    import concurrent.futures
-
-    from fcayley import counting
-
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda *args, **options: started.append(args) or 1 / 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "MAX_MIB", 2)
-    with pytest.raises(ValueError, match="takes up to 2 MiB to build, past the bound of 1 MiB"):
-        sweep_records([2, 3], [2100], ["x0"], threads=2)
-    assert started == []
 
 
 def test_evac_and_certify_read_unsorted_files(tmp_path):
@@ -790,13 +741,17 @@ def run_bounded(args):
     (["sweep", "--k", "2,23", "--n", "40000"],  # k = 2 alone is admitted at 40,000 leaves
      "the count table for k = 23 up to n = 40000 leaves takes up to 161,025 MiB to build, "
      "past the bound of 1,024 MiB"),
+    (["sweep", "--k", "12,-1", "--n", "20000"],  # k = 12 alone is admitted
+     "k must be nonnegative"),
+    (["sweep", "--k", "12", "--n", "0,20000"], "n must be positive"),
     (["ball", "--r", "100000000", "--alphabet", "x0"],
      "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
     (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
      "|BB(60000,0)| = 60,000 keys of up to 179,999 characters pass the bound of "
      "1,024 MiB of key text"),
 ], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
-        "sweep-grid-leaves", "sweep-caps", "ball", "bb-keys"])
+        "sweep-grid-leaves", "sweep-caps", "sweep-k-negative", "sweep-n-zero", "ball",
+        "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
     assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err
