@@ -35,9 +35,8 @@ from .fgroup import FElement, element_from_key
 
 INV = "^-1"
 
-# Default budget of `forests.bb_automaton` (forests) and `ball` (leaves of the
-# elements), kept here so that the command-line parser can show it without
-# importing forests.
+# The one budget of the builders: forests of `forests.bb_automaton` and leaves of
+# the elements of `ball`; no option sets it.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -458,7 +457,3 @@ def load_automaton(path) -> Automaton:
     if not isinstance(obj, dict):
         raise AutomatonFormatError("automaton file must hold a JSON object")
     return automaton_from_obj(obj)
-
-
-def report_csv_rows(report: BoundaryReport) -> list[tuple[str, str]]:
-    return [("letter", "nu")] + [(a, str(n)) for a, n in report.nu.items()]

@@ -14,14 +14,12 @@ import sys
 # counting, evac, forests, csv and datetime are imported where they are used:
 # a job loads only what its subcommand runs
 from .cayley import (
-    DEFAULT_BUDGET,
     ball,
     boundary_report,
     exact_str,
     load_automaton,
     load_json,
     make_alphabet,
-    report_csv_rows,
     save_automaton,
 )
 
@@ -52,43 +50,22 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
         sys.stdout.write(text)
 
 
-def _check_report_format(args) -> None:
-    if args.format == "csv" and not args.report:
-        raise ValueError("--format csv needs --report")
-
-
-def _emit_report(rep, obj: dict, args) -> None:
-    if args.format == "csv":
-        import csv
-
-        with open(args.report, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in report_csv_rows(rep):
-                writer.writerow(row)
-    else:
-        _write_json(obj, args.report, args.no_timestamp)
-
-
 def cmd_ball(args) -> int:
-    _check_report_format(args)
     alphabet = make_alphabet(args.alphabet)
     aut = ball(args.r, alphabet)
     if args.out:
         save_automaton(aut, args.out)
-    rep = boundary_report(aut)
-    _emit_report(rep, {"command": "ball", "r": args.r, "alphabet": alphabet.spec(),
-                       "out": args.out, "report": rep.as_obj()}, args)
+    _write_json({"command": "ball", "r": args.r, "alphabet": alphabet.spec(),
+                 "out": args.out, "report": boundary_report(aut).as_obj()},
+                args.report, args.no_timestamp)
     return EXIT_OK
 
 
 def cmd_bb(args) -> int:
     alphabet = make_alphabet(args.alphabet)
     if args.mode == "count":
-        for flag, given in (("--format csv", args.format == "csv"),
-                            ("--report", args.report is not None),
-                            ("--budget", args.budget is not None)):
-            if given:
-                raise ValueError(f"{flag} needs --mode enumerate")
+        if args.report is not None:
+            raise ValueError("--report needs --mode enumerate")
         from . import counting
 
         rec = counting.density_report(counting.table(args.k, args.n), args.n,
@@ -96,17 +73,15 @@ def cmd_bb(args) -> int:
         _write_json({"command": "bb", "mode": "count", "record": rec.as_obj()},
                     args.out, args.no_timestamp)
         return EXIT_OK
-    _check_report_format(args)
     from . import forests
 
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    aut = forests.bb_automaton(args.n, args.k, alphabet, budget=budget)
+    aut = forests.bb_automaton(args.n, args.k, alphabet)
     if args.out:
         save_automaton(aut, args.out)
-    rep = boundary_report(aut)
-    _emit_report(rep, {"command": "bb", "mode": "enumerate", "n": args.n,
-                       "k": args.k, "alphabet": alphabet.spec(),
-                       "out": args.out, "report": rep.as_obj()}, args)
+    _write_json({"command": "bb", "mode": "enumerate", "n": args.n,
+                 "k": args.k, "alphabet": alphabet.spec(),
+                 "out": args.out, "report": boundary_report(aut).as_obj()},
+                args.report, args.no_timestamp)
     return EXIT_OK
 
 
@@ -281,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tokens from {x0, x1, xb1, x2}")
     p.add_argument("--report", help="write the boundary report to this path")
     output(p, "write the automaton to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("bb", help="Brown-Belk set BB(n, k) as automaton or DP record")
@@ -290,11 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="x0,x1")
     p.add_argument("--mode", choices=("enumerate", "count"), default="count")
     p.add_argument("--report", help="write the boundary report to this path")
-    p.add_argument("--budget", type=int,
-                   help="enumeration budget (number of forests, default "
-                        f"{DEFAULT_BUDGET:,})")
     output(p, "write the automaton (enumerate) or the record (count) to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bb)
 
     p = sub.add_parser("sweep", help="density / xi / p sweep over a (k, n, alphabet) grid")

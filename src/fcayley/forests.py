@@ -85,8 +85,7 @@ def _inverse(col: array) -> array:
     return inv
 
 
-def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
-                 budget: int = DEFAULT_BUDGET) -> Automaton:
+def bb_automaton(n: int, k: int, alphabet: GenAlphabet) -> Automaton:
     """BB(n, k) as an automaton over the given alphabet of forest generators."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -102,11 +101,12 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet,
     # trivial tree is injective): counts at m = 1, 2, 4, ... refuse a budget
     # before the count table grows to n
     m, total = 0, n
-    while total <= budget and m < n:
+    while total <= DEFAULT_BUDGET and m < n:
         m = min(2 * m, n) or 1
         total = counting.bb_count(m, k)
-    if total > budget:
-        raise BudgetExceeded(f"|BB({n},{k})| >= {exact_str(total)} exceeds budget {budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"|BB({n},{k})| >= {exact_str(total)} exceeds budget "
+                             f"{DEFAULT_BUDGET}")
     # a key has 3n - t characters for t trees, and a str about 50 bytes more
     if total * (3 * n + 49) > MAX_KEY_MIB << 20:
         raise BudgetExceeded(f"|BB({n},{k})| = {total:,} keys of up to {3 * n - 1:,} "

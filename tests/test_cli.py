@@ -8,8 +8,8 @@ import pytest
 
 from fcayley import evac
 from fcayley.cayley import load_automaton, save_automaton
-from fcayley.cli import (EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, NU_COLUMNS, main,
-                         sweep_records)
+from fcayley.cli import (EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, NU_COLUMNS, build_parser,
+                         main, sweep_records)
 
 
 def run(args):
@@ -43,17 +43,6 @@ def test_ball_r0(tmp_path):
     assert len(load_automaton(out)) == 1
 
 
-def test_ball_report_csv(tmp_path):
-    report = tmp_path / "nu.csv"
-    code = run(["ball", "--r", "1", "--format", "csv",
-                "--report", str(report), "--no-timestamp"])
-    assert code == EXIT_OK
-    with report.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["letter", "nu"]
-    assert ["x0", "3"] in rows and ["x1^-1", "3"] in rows
-
-
 def test_bad_alphabet_token_is_usage_error(tmp_path):
     code = run(["ball", "--r", "1", "--alphabet", "x0,bogus",
                 "--out", str(tmp_path / "x.json")])
@@ -81,10 +70,12 @@ def test_bb_enumerate_mode(tmp_path):
     assert rep["report"]["size"] == 60
 
 
-def test_bb_budget_guard(tmp_path):
-    code = run(["bb", "--n", "8", "--k", "3", "--mode", "enumerate",
-                "--budget", "10", "--out", str(tmp_path / "x.json")])
-    assert code == EXIT_VALIDATION
+def test_bb_budget_guard(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = run(["bb", "--n", "40", "--k", "3", "--mode", "enumerate", "--out", str(out)])
+    assert code == EXIT_VALIDATION and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: |BB(40,3)| >= 8444322344553 exceeds budget 10000000\n")
 
 
 def test_sweep_csv_and_reparse(tmp_path):
@@ -279,20 +270,14 @@ def test_n_below_one_is_usage_error(capsys):
         assert capsys.readouterr().err == "error: n must be positive\n", args
 
 
-def test_csv_usage_errors_come_before_any_work(tmp_path, monkeypatch, capsys):
+def test_csv_usage_errors_come_before_any_work(monkeypatch, capsys):
     from fcayley import counting
 
     tables = []
     monkeypatch.setattr(counting, "table", lambda k, n: tables.append((k, n)))
-    out = tmp_path / "a.json"
-    for args, message in (
-            (["ball", "--r", "2", "--out", str(out)], "--format csv needs --report"),
-            (["bb", "--mode", "enumerate", "--n", "4", "--k", "2", "--out", str(out)],
-             "--format csv needs --report"),
-            (["sweep", "--k", "2", "--n", "5"], "--format csv needs --out")):
-        assert run(args + ["--format", "csv"]) == EXIT_VALIDATION, args[0]
-        assert capsys.readouterr().err == f"error: {message}\n", args[0]
-        assert not out.exists() and tables == [], args[0]
+    assert run(["sweep", "--k", "2", "--n", "5", "--format", "csv"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --format csv needs --out\n"
+    assert tables == []
 
 
 def test_sweep_builds_one_table_per_cap(monkeypatch):
@@ -355,16 +340,13 @@ def test_evac_deterministic_bytes(tmp_path):
 def test_flags_of_other_subcommands_are_usage_errors(tmp_path):
     for args in (["evac", "--automaton", str(tmp_path / "a.json"), "--format", "csv"],
                  ["ball", "--r", "1", "--threads", "2"],
+                 ["ball", "--r", "1", "--format", "csv"],
+                 ["bb", "--n", "2", "--k", "1", "--format", "json"],
+                 ["bb", "--mode", "enumerate", "--n", "2", "--k", "1", "--budget", "5"],
                  ["sweep", "--k", "1", "--n", "4", "--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
             run(args)
         assert exc.value.code == EXIT_VALIDATION, args
-
-
-def test_bb_count_mode_rejects_csv(tmp_path):
-    code = run(["bb", "--n", "2", "--k", "1", "--format", "csv",
-                "--out", str(tmp_path / "bb.csv")])
-    assert code == EXIT_VALIDATION
 
 
 def test_refused_serial_sweep_builds_no_table(monkeypatch):
@@ -746,25 +728,44 @@ def run_bounded(args):
     (["sweep", "--k", "12", "--n", "0,20000"], "n must be positive"),
     (["ball", "--r", "100000000", "--alphabet", "x0"],
      "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
+    (["bb", "--mode", "enumerate", "--n", "40", "--k", "3"],
+     "|BB(40,3)| >= 8444322344553 exceeds budget 10000000"),
     (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
      "|BB(60000,0)| = 60,000 keys of up to 179,999 characters pass the bound of "
      "1,024 MiB of key text"),
 ], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
         "sweep-grid-leaves", "sweep-caps", "sweep-k-negative", "sweep-n-zero", "ball",
-        "bb-keys"])
+        "bb-forests", "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
     assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err
     assert seconds < 2.0
 
 
+def test_readme_lists_the_options_of_each_subcommand():
+    import argparse
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | options besides its required inputs |\n")[1]
+    listed = {}
+    for line in table.split("\n\n")[0].splitlines()[1:]:  # past the | --- | row
+        name, options = line.strip("|").split("|")
+        listed[name.strip(" `")] = set(re.findall(r"`(--[\w-]+)", options))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    optional = {name: {a.option_strings[0] for a in p._actions
+                       if a.option_strings and not a.required and a.dest != "help"}
+                for name, p in sub.choices.items()}
+    assert listed == optional
+
+
 def test_bb_count_mode_rejects_enumeration_flags(tmp_path, capsys):
-    for flag, value in (("--report", str(tmp_path / "rep.json")), ("--budget", "5")):
-        code = run(["bb", "--n", "3", "--k", "1", "--mode", "count", flag, value,
-                    "--out", str(tmp_path / "rec.json")])
-        assert code == EXIT_VALIDATION, flag
-        assert flag in capsys.readouterr().err
-    assert not (tmp_path / "rep.json").exists()
+    code = run(["bb", "--n", "3", "--k", "1", "--mode", "count",
+                "--report", str(tmp_path / "rep.json"), "--out", str(tmp_path / "rec.json")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --report needs --mode enumerate\n"
+    assert not (tmp_path / "rep.json").exists() and not (tmp_path / "rec.json").exists()
 
 
 # sha256 of (automaton, report) for builds whose bytes must not change; the
@@ -843,8 +844,9 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
 
 
 def test_sweep_csv_bytes_at_bench_sizes_are_pinned(tmp_path):
-    # sha256 of a sweep across the regimes of the count tables: caps 7-10 run the
-    # squaring circuit from n = 300, 11 and 12 switch to it at 900, 13 convolves
+    # sha256 of a sweep across the regimes of the count tables: each cap builds one
+    # table of 900 leaves, by the squaring circuit for caps 7-12 and by convolution
+    # for cap 13
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--k", "7:13", "--n", "300,900",
                 "--alphabets", "x0,x1;x1,xb1,x0,x0,x2",

@@ -210,7 +210,7 @@ def test_table_past_a_lowered_bound_is_refused(monkeypatch, k, n, mib):
     assert table(k, n // 2).n_max == n // 2
 
 
-def test_cached_tables_hold_only_their_series():
+def test_tables_hold_only_their_series():
     for k in (10, 11, 12):  # all three run the circuit at 900 leaves
         t = table(k, 900)
         assert vars(t).keys() == {"k", "F", "G", "n_max"}, k

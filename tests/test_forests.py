@@ -139,17 +139,24 @@ def test_enumerate_bb_matches_dp():
         assert len(enumerate_bb(n, k)) == counting.bb_count(n, k), (n, k)
 
 
-def test_enumerate_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        bb_automaton(8, 3, ALL, budget=10)
+def test_enumerate_budget_guard(monkeypatch):
+    # |BB(8, 3)| = 1,688 forests, inside the default budget of 10^7
+    assert len(bb_automaton(8, 3, ALL)) == counting.bb_count(8, 3)
+    with pytest.raises(BudgetExceeded, match=r"\|BB\(40,3\)\| >= 8444322344553 exceeds "
+                                             "budget 10000000"):
+        bb_automaton(40, 3, ALL)
+    monkeypatch.setattr(forests, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match=r"\|BB\(8,3\)\| >= .* exceeds budget 10$"):
+        bb_automaton(8, 3, ALL)
 
 
 def test_budget_refused_before_the_table_grows_to_n(monkeypatch):
     grown, table = [], counting.table  # leaf counts the count tables are asked for
     monkeypatch.setattr(counting, "table", lambda k, n: grown.append(n) or table(k, n))
     # |BB(n, 0)| = n, so n > budget refuses without a count
-    with pytest.raises(BudgetExceeded, match=r"\|BB\(50,0\)\| >= 50 exceeds budget 10"):
-        bb_automaton(50, 0, ALL, budget=10)
+    with pytest.raises(BudgetExceeded, match=r"\|BB\(10000001,0\)\| >= 10000001 exceeds "
+                                             "budget 10000000"):
+        bb_automaton(10_000_001, 0, ALL)
     assert grown == []
     # a count at a small m already exceeds the budget
     with pytest.raises(BudgetExceeded):
