@@ -35,9 +35,9 @@ from .fgroup import FElement, element_from_key
 
 INV = "^-1"
 
-# The one budget of the builders: forests of `forests.bb_automaton` and leaves of
-# the elements of `ball`; no option sets it.
-DEFAULT_BUDGET = 10_000_000
+# Bounds of requests, read from this module at call time; no option sets them
+DEFAULT_BUDGET = 10_000_000  # forests of one BB(n, k), leaves of one ball's elements
+MAX_MIB = 1024  # a count table while it is built, a sweep's records, the keys of BB(n, k)
 
 
 class SerreViolation(ValueError):
@@ -49,7 +49,14 @@ class AutomatonFormatError(ValueError):
 
 
 class BudgetExceeded(ValueError):
-    """A build would exceed its budget of forests or leaves."""
+    """A request would pass one of the bounds above, or `cli.MAX_RECORDS`."""
+
+
+def refusal(subject: str, amount: int, unit: str, bound: int) -> BudgetExceeded:
+    """The one refusal message, integers of any size grouped by three digits."""
+    amount, bound = (",".join(s[i:i + 3] for i in range(0, len(s), 3))[::-1]
+                     for s in (exact_str(amount)[::-1], exact_str(bound)[::-1]))
+    return BudgetExceeded(f"{subject} {amount} {unit}, past the bound of {bound} {unit}")
 
 
 # each alphabet token as a word of (generator, exponent +-1) steps in x0 and x1:
@@ -289,10 +296,10 @@ def ball(r: int, alphabet: GenAlphabet) -> Automaton:
         raise ValueError("ball construction needs an alphabet with group values")
     values = [alphabet.values[s] for s in alphabet.symbols]
     values += [fgroup.invert(v) for v in values]  # slot j + m inverts slot j
-    refusal = f"the ball of radius {r} exceeds the budget of {DEFAULT_BUDGET:,} leaves"
+    subject = f"the ball of radius {r} has at least"
     # F is torsion-free: a letter a != 1 makes 2r + 1 elements a^-r .. a^r
     if 2 * r + 1 > DEFAULT_BUDGET and any(len(dd) > 1 for dd, _ in values):
-        raise BudgetExceeded(refusal)
+        raise refusal(subject, 2 * r + 1, "leaves", DEFAULT_BUDGET)
     d = len(values)
     pairs = [fgroup.IDENTITY]
     number = {fgroup.IDENTITY: 0}
@@ -311,7 +318,7 @@ def ball(r: int, alphabet: GenAlphabet) -> Automaton:
                         pairs.append(pair)
                         leaves += len(pair[0])
                         if leaves > DEFAULT_BUDGET:
-                            raise BudgetExceeded(refusal)
+                            raise refusal(subject, leaves, "leaves", DEFAULT_BUDGET)
                     if w > g:
                         paired[w * d + (j + d // 2) % d] = g
                 rows.append(w)
@@ -373,6 +380,10 @@ def automaton_from_obj(obj: dict) -> Automaton:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise AutomatonFormatError("duplicate vertex keys")
+    if outer is not None:
+        outer, listed = frozenset(outer), len(outer)
+        if len(outer) != listed or not outer.isdisjoint(index):
+            raise AutomatonFormatError("outer keys must be distinct and not vertex keys")
     tgt = array("i", [-1]) * (d * len(vertices))
     # Default format lists one directed edge per inverse pair and the loader
     # fills both slots.  With "directed": true every directed edge must be
@@ -400,8 +411,7 @@ def automaton_from_obj(obj: dict) -> Automaton:
         set_slot(index[u], slot[a], index[w])
         if not directed:
             set_slot(index[w], (slot[a] + d // 2) % d, index[u])
-    return Automaton(alphabet, vertices, tgt,
-                     outer=frozenset(outer) if outer is not None else None)
+    return Automaton(alphabet, vertices, tgt, outer)
 
 
 def save_automaton(aut: Automaton, path) -> None:

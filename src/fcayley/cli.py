@@ -32,8 +32,7 @@ NU_COLUMNS = [
     "x0", "x0^-1", "x1", "x1^-1", "xb1", "xb1^-1", "x2", "x2^-1",
     "x0@2", "x0@2^-1",
 ]
-MAX_RECORDS = 100_000  # records of one sweep
-MAX_RECORD_MIB = 1024  # their exact numbers as integers, strings and output text
+MAX_RECORDS = 100_000  # records of one sweep; cayley.MAX_MIB bounds their size
 
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
@@ -146,6 +145,8 @@ def _sweep_csv(records, path) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from . import cayley
+
     k_ranges = _parse_int_list(args.k, "--k")
     n_ranges = _parse_int_list(args.n, "--n")
     specs = [s.strip() for s in args.alphabets.split(";") if s.strip()]
@@ -157,16 +158,15 @@ def cmd_sweep(args) -> int:
     ks = sum(r.stop - r.start for r in k_ranges)
     grid = ks * len(specs) * sum(r.stop - r.start for r in n_ranges)
     if grid > MAX_RECORDS:
-        raise ValueError(f"the sweep grid has {grid:,} records, past the bound of "
-                         f"{MAX_RECORDS:,}")
+        raise cayley.refusal("the sweep grid has", grid, "records", MAX_RECORDS)
     # a record over m letters holds 2m + 9 exact numbers, and one of n leaves takes
     # up to 2n bytes (2n bits, 0.6n digits in a string and in the output text),
     # 320 more as objects: sum (2n + 320) over lo..hi is (lo + hi + 320)(hi - lo + 1)
     size = ks * sum(2 * len(make_alphabet(spec).symbols) + 9 for spec in specs) * sum(
         (r.start + r.stop - 1 + 320) * (r.stop - r.start) for r in n_ranges)
-    if size > MAX_RECORD_MIB << 20:
-        raise ValueError(f"the records of the sweep grid take about {-(-size >> 20):,} MiB, "
-                         f"past the bound of {MAX_RECORD_MIB:,} MiB")
+    if size > cayley.MAX_MIB << 20:
+        raise cayley.refusal("the records of the sweep grid take about", -(-size >> 20),
+                             "MiB", cayley.MAX_MIB)
     k_values = [k for r in k_ranges for k in r]
     n_values = [n for r in n_ranges for n in r]
     records = sweep_records(k_values, n_values, specs)

@@ -25,8 +25,8 @@ nu(a) = nu(a^-1) on DP rows is an identity of the DP, not a check of it;
 the tests check the counts against enumeration and full-array reference
 series.  The request that reads a table builds it once, up to the largest
 n it reads, and passes it to every record it reads off it; `table` refuses
-a build that would pass MAX_MIB.  A table with 2^k <= n_max^2/128, the
-measured crossover, runs the squaring circuit of
+a build that would pass `cayley.MAX_MIB`, read at call time.  A table with
+2^k <= n_max^2/128, the measured crossover, runs the squaring circuit of
 f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k delays,
 each fed its parent's input or its left sibling's output, and 2^k - 1
 big-integer additions per coefficient; its registers live only while the
@@ -41,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
-from .cayley import GenAlphabet, exact_str, rational_fields
+from . import cayley
 
 
 def _coef(P: list[int], series: list[int], n: int) -> int:
@@ -116,9 +116,6 @@ class CountTable:
         return _square_coef(self.G, n - 1) if self.k else 0
 
 
-MAX_MIB = 1024  # a table holds at most this while it is built
-
-
 def _circuit(k: int, n_max: int) -> bool:
     """The squaring circuit builds a table while 2^k <= n_max^2/128, the
     measured crossover; convolution with f_(k-1) above it."""
@@ -138,21 +135,20 @@ def _build_bits(k: int, n: int) -> int:
 
 def check_table(k: int, n: int) -> None:
     """Refuse a count table for a height cap k < 0, up to n < 1 leaves, or
-    whose build would pass MAX_MIB."""
+    whose build would pass cayley.MAX_MIB."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
     bits = _build_bits(k, n)
-    if bits > MAX_MIB << 23:
-        raise ValueError(f"the count table for k = {k} up to n = {n} leaves takes "
-                         f"up to {-(-bits >> 23):,} MiB to build, past the bound "
-                         f"of {MAX_MIB:,} MiB")
+    if bits > cayley.MAX_MIB << 23:
+        raise cayley.refusal(f"building the count table for k = {k} up to n = {n} leaves "
+                             "takes up to", -(-bits >> 23), "MiB", cayley.MAX_MIB)
 
 
 def table(k: int, n: int) -> CountTable:
     """A new count table for a height cap up to n >= 1 leaves, refused before
-    it is built when its build would pass MAX_MIB."""
+    it is built when its build would pass cayley.MAX_MIB."""
     check_table(k, n)
     return CountTable(k, n)
 
@@ -178,9 +174,9 @@ class DensityRecord(namedtuple("DensityRecord", "n k alphabet size nu density io
             "n": self.n,
             "k": self.k,
             "alphabet": self.alphabet,
-            "size": exact_str(self.size),
-            "nu": {a: exact_str(v) for a, v in self.nu.items()},
-            **rational_fields(delta=self.density, iota=self.iota, p=self.p, xi=self.xi),
+            "size": cayley.exact_str(self.size),
+            "nu": {a: cayley.exact_str(v) for a, v in self.nu.items()},
+            **cayley.rational_fields(delta=self.density, iota=self.iota, p=self.p, xi=self.xi),
         }
 
 
@@ -190,7 +186,7 @@ def density_report(t: CountTable, n: int, symbols) -> DensityRecord:
     to at least n leaves."""
     if not 1 <= n <= t.n_max:
         raise ValueError(f"n = {n} is outside the table's 1..{t.n_max} leaves")
-    al = GenAlphabet(symbols)
+    al = cayley.GenAlphabet(symbols)
     F, size, s1 = t.F, t.marked(n), t.S(n - 1)
     by_token = {  # a letter's count; its inverse's agrees by the identities above
         "x0": F[n],  # marker leftmost / rightmost

@@ -21,16 +21,15 @@ table lookup per vertex, a token's column indexes the columns of its word's
 steps, and a^-1 is a's column inverted, each column at most once per
 build; multiset copies share columns.
 Keys ("(..)*;." with "*" after the marked tree) are rendered once per vertex
-and kept in this shape order; only the file writer sorts them.
+and kept in this shape order; only the file writer sorts them.  A build past
+`cayley.DEFAULT_BUDGET` forests or `cayley.MAX_MIB` of keys is refused first.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .cayley import DEFAULT_BUDGET, WORDS, Automaton, BudgetExceeded, GenAlphabet, exact_str
-
-MAX_KEY_MIB = 1024  # the key text of one BB(n, k) automaton, refused past this
+from . import cayley
 
 
 class TreeTable:
@@ -85,7 +84,7 @@ def _inverse(col: array) -> array:
     return inv
 
 
-def bb_automaton(n: int, k: int, alphabet: GenAlphabet) -> Automaton:
+def bb_automaton(n: int, k: int, alphabet: cayley.GenAlphabet) -> cayley.Automaton:
     """BB(n, k) as an automaton over the given alphabet of forest generators."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -93,24 +92,24 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet) -> Automaton:
         raise ValueError("k must be nonnegative")
     from . import counting
 
-    words = {tok: WORDS.get(tok) for tok in alphabet.tokens}
+    words = {tok: cayley.WORDS.get(tok) for tok in alphabet.tokens}
     for tok, word in words.items():
         if word is None:
             raise ValueError(f"token {tok!r} has no forest action")
     # |BB(n, k)| >= n, and |BB(m, k)| <= |BB(n, k)| for m <= n (appending a
     # trivial tree is injective): counts at m = 1, 2, 4, ... refuse a budget
     # before the count table grows to n
-    m, total = 0, n
-    while total <= DEFAULT_BUDGET and m < n:
+    budget, m, total = cayley.DEFAULT_BUDGET, 0, n
+    while total <= budget and m < n:
         m = min(2 * m, n) or 1
         total = counting.bb_count(m, k)
-    if total > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"|BB({n},{k})| >= {exact_str(total)} exceeds budget "
-                             f"{DEFAULT_BUDGET}")
+    if total > budget:
+        raise cayley.refusal(f"BB({n},{k}) has at least", total, "forests", budget)
     # a key has 3n - t characters for t trees, and a str about 50 bytes more
-    if total * (3 * n + 49) > MAX_KEY_MIB << 20:
-        raise BudgetExceeded(f"|BB({n},{k})| = {total:,} keys of up to {3 * n - 1:,} "
-                             f"characters pass the bound of {MAX_KEY_MIB:,} MiB of key text")
+    text = total * (3 * n + 49)
+    if text > cayley.MAX_MIB << 20:
+        raise cayley.refusal(f"the keys of BB({n},{k}) take up to", -(-text >> 20), "MiB",
+                             cayley.MAX_MIB)
     tt = TreeTable(min(k, n), n)  # a tree with n leaves has height below n
     shapes = tt.shapes(n)
     base: dict[tuple[int, ...], int] = {}
@@ -159,4 +158,4 @@ def bb_automaton(n: int, k: int, alphabet: GenAlphabet) -> Automaton:
     for j, tok in enumerate(alphabet.tokens):
         tgt[j::2 * m], tgt[j + m::2 * m] = columns[tok]
     del x0, x1, moves, columns, col  # the Serre check copies columns of tgt
-    return Automaton(alphabet, keys, tgt)
+    return cayley.Automaton(alphabet, keys, tgt)

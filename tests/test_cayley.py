@@ -114,20 +114,29 @@ def test_ball_budget_charges_each_element_its_leaves(monkeypatch, r, spec):
     monkeypatch.setattr(cayley, "DEFAULT_BUDGET", total)
     assert len(ball(r, al)) == size
     monkeypatch.setattr(cayley, "DEFAULT_BUDGET", total - 1)
-    with pytest.raises(BudgetExceeded, match=f"the ball of radius {r} exceeds the "
-                                             f"budget of {total - 1:,} leaves"):
+    # refused at the last element found, which brings the leaves to the total
+    with pytest.raises(BudgetExceeded, match=f"^the ball of radius {r} has at least {total:,} "
+                                             f"leaves, past the bound of {total - 1:,} leaves$"):
         ball(r, al)
 
 
 def test_ball_budget_refuses_a_radius_past_it_at_once(monkeypatch):
     # over {x0} the ball is a path, so a radius of 10^8 would grow for hours
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="budget of 10,000,000 leaves"):
+    with pytest.raises(BudgetExceeded, match="^the ball of radius 100000000 has at least "
+                                             "200,000,001 leaves, past the bound of 10,000,000 "
+                                             "leaves$"):
         ball(10 ** 8, make_alphabet("x0"))
     assert time.perf_counter() - start < 1.0
     # powers of the identity are not distinct: its ball is one leaf at every radius
     monkeypatch.setattr(cayley, "DEFAULT_BUDGET", 10)
     assert len(ball(20, GenAlphabet(["e"], {"e": fgroup.IDENTITY}))) == 1
+
+
+@pytest.mark.parametrize("amount", [0, 7, 999, 1000, 123456, 10 ** 9, 2 ** 64 - 1])
+def test_refusal_groups_digits_as_the_format_spec_does(amount):
+    assert str(cayley.refusal("a request takes", amount, "units", 10 ** 6)) == (
+        f"a request takes {amount:,} units, past the bound of 1,000,000 units")
 
 
 def test_ball_seven_fits_the_default_budget():
@@ -391,8 +400,8 @@ def _random_automaton(rng, n_vertices, n_edges, values, outer, shuffled=False):
         if slots[u][a] is None and slots[w][a + "^-1"] is None:
             slots[u][a] = w
             slots[w][a + "^-1"] = u
-    if outer == "present":
-        outer = frozenset(rng.choice(KEY_CHARS) * rng.randint(1, 3) for _ in range(5))
+    if outer == "present":  # outer keys are not vertex keys: "o" is not in KEY_CHARS
+        outer = frozenset("o" + rng.choice(KEY_CHARS) * rng.randint(1, 3) for _ in range(5))
     return automaton_from_rows(al, slots, outer=frozenset() if outer == "empty" else outer)
 
 

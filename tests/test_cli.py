@@ -75,7 +75,8 @@ def test_bb_budget_guard(tmp_path, capsys):
     code = run(["bb", "--n", "40", "--k", "3", "--mode", "enumerate", "--out", str(out)])
     assert code == EXIT_VALIDATION and not out.exists()
     assert capsys.readouterr().err == (
-        "error: |BB(40,3)| >= 8444322344553 exceeds budget 10000000\n")
+        "error: BB(40,3) has at least 8,444,322,344,553 forests, past the bound of "
+        "10,000,000 forests\n")
 
 
 def test_sweep_csv_and_reparse(tmp_path):
@@ -244,7 +245,7 @@ def test_empty_list_items_are_skipped(tmp_path):
     (["sweep", "--k", "2", "--n", "5", "--alphabets", ";"], "no alphabets given"),
     (["bb", "--mode", "enumerate", "--n", "3", "--k", "-1"], "k must be nonnegative"),
     (["sweep", "--k", "2", "--n", "1:1000000000"],
-     "the sweep grid has 1,000,000,000 records, past the bound of 100,000"),
+     "the sweep grid has 1,000,000,000 records, past the bound of 100,000 records"),
     (["sweep", "--k", "0:9", "--n", "55537:65536"],
      "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
 ], ids=["ball-radius", "ball-alphabet", "sweep-alphabets", "bb-k", "sweep-grid",
@@ -350,15 +351,16 @@ def test_flags_of_other_subcommands_are_usage_errors(tmp_path):
 
 
 def test_refused_serial_sweep_builds_no_table(monkeypatch):
-    from fcayley import counting
+    from fcayley import cayley, counting
 
-    monkeypatch.setattr(counting, "MAX_MIB", 2)
+    monkeypatch.setattr(cayley, "MAX_MIB", 2)
     # a table of 2,100 leaves takes 2 MiB to build, within the bound
     assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
     built = []
     monkeypatch.setattr(counting, "CountTable", lambda k, n_max: built.append(k) or 1 / 0)
     # k = 2 up to 1,000 leaves fits in 2 MiB, k = 12 needs 3 MiB of circuit registers
-    with pytest.raises(ValueError, match="k = 12 up to n = 1000 leaves takes up to 3 MiB"):
+    with pytest.raises(ValueError, match="k = 12 up to n = 1000 leaves takes up to 3 MiB, "
+                                         "past the bound of 2 MiB$"):
         sweep_records([2, 12], [1000], ["x0"])
     assert built == []
 
@@ -438,9 +440,13 @@ AUTOMATON = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"
      "symbols without values: ['b']"),
     ({**AUTOMATON, "values": []}, "values must map symbols to 'domain|range' keys"),
     ({**AUTOMATON, "values": False}, "values must map symbols to 'domain|range' keys"),
+    # both loaded before: a vertex was counted as outer, a repeated key once
+    ({**AUTOMATON, "outer": ["w", "v"]}, "outer keys must be distinct and not vertex keys"),
+    ({**AUTOMATON, "outer": ["w", "x", "w"]}, "outer keys must be distinct and not vertex keys"),
 ], ids=["missing-field", "duplicate-vertex", "unknown-letter", "unknown-vertex", "list",
         "no-vertices", "no-symbols", "repeated-symbol", "inverse-symbol", "semicolon-symbol",
-        "bar-symbol", "missing-values", "values-list", "values-false"])
+        "bar-symbol", "missing-values", "values-list", "values-false", "outer-vertex",
+        "outer-repeated"])
 def test_automaton_file_refusals_name_their_fault(tmp_path, capsys, obj, message):
     path = tmp_path / "aut.json"
     path.write_text(json.dumps(obj))
@@ -708,37 +714,39 @@ def run_bounded(args):
 
 @pytest.mark.parametrize("args,message", [
     (["bb", "--n", "99999999999", "--k", "1"],
-     "the count table for k = 1 up to n = 99999999999 leaves takes up to "
-     "2,384,185,798,692,704 MiB to build, past the bound of 1,024 MiB"),
+     "building the count table for k = 1 up to n = 99999999999 leaves takes up to "
+     "2,384,185,798,692,704 MiB, past the bound of 1,024 MiB"),
     (["bb", "--n", "65536", "--k", "25"],  # 2^26 circuit registers of up to 2^17 bits
-     "the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB"),
+     "building the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB, "
+     "past the bound of 1,024 MiB"),
     (["sweep", "--k", "25", "--n", "65536"],
-     "the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB"),
+     "building the count table for k = 25 up to n = 65536 leaves takes up to 1,052,165 MiB, "
+     "past the bound of 1,024 MiB"),
     (["sweep", "--k", "2", "--n", "1:1000000000"],
-     "the sweep grid has 1,000,000,000 records, past the bound of 100,000"),
+     "the sweep grid has 1,000,000,000 records, past the bound of 100,000 records"),
     (["sweep", "--k", "0:9", "--n", "1:10000", "--alphabets", "x0;x1", "--out", os.devnull],
-     "the sweep grid has 200,000 records"),
+     "the sweep grid has 200,000 records, past the bound of 100,000 records"),
     (["sweep", "--k", "0:9", "--n", "55537:65536"],  # 100,000 records of up to 2^17 bits
      "the records of the sweep grid take about 150,501 MiB, past the bound of 1,024 MiB"),
     (["sweep", "--k", "2,23", "--n", "40000"],  # k = 2 alone is admitted at 40,000 leaves
-     "the count table for k = 23 up to n = 40000 leaves takes up to 161,025 MiB to build, "
+     "building the count table for k = 23 up to n = 40000 leaves takes up to 161,025 MiB, "
      "past the bound of 1,024 MiB"),
     (["sweep", "--k", "12,-1", "--n", "20000"],  # k = 12 alone is admitted
      "k must be nonnegative"),
     (["sweep", "--k", "12", "--n", "0,20000"], "n must be positive"),
-    (["ball", "--r", "100000000", "--alphabet", "x0"],
-     "the ball of radius 100000000 exceeds the budget of 10,000,000 leaves"),
+    (["ball", "--r", "100000000", "--alphabet", "x0"],  # a^-r .. a^r, a leaf each at least
+     "the ball of radius 100000000 has at least 200,000,001 leaves, past the bound of "
+     "10,000,000 leaves"),
     (["bb", "--mode", "enumerate", "--n", "40", "--k", "3"],
-     "|BB(40,3)| >= 8444322344553 exceeds budget 10000000"),
+     "BB(40,3) has at least 8,444,322,344,553 forests, past the bound of 10,000,000 forests"),
     (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
-     "|BB(60000,0)| = 60,000 keys of up to 179,999 characters pass the bound of "
-     "1,024 MiB of key text"),
+     "the keys of BB(60000,0) take up to 10,303 MiB, past the bound of 1,024 MiB"),
 ], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
         "sweep-grid-leaves", "sweep-caps", "sweep-k-negative", "sweep-n-zero", "ball",
         "bb-forests", "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
     code, err, seconds = run_bounded(args)
-    assert code == EXIT_VALIDATION and err.startswith(f"error: {message}"), err
+    assert code == EXIT_VALIDATION and err == f"error: {message}\n", err
     assert seconds < 2.0
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import forest_ref
-from fcayley import counting, forests
+from fcayley import cayley, counting, forests
 from fcayley.cayley import boundary_report, make_alphabet
 from fcayley.counting import (
     CountTable,
@@ -189,9 +189,9 @@ def test_regime_rule_is_the_measured_crossover(monkeypatch):
 def test_table_past_the_memory_bound_is_refused_before_any_build(monkeypatch, k, n, mib):
     built = []
     monkeypatch.setattr(counting, "CountTable", lambda k, n: built.append((k, n)))
-    with pytest.raises(ValueError, match=f"the count table for k = {k} up to n = {n} leaves "
-                                         f"takes up to {mib} MiB to build, past the bound "
-                                         "of 1,024 MiB"):
+    with pytest.raises(ValueError, match=f"^building the count table for k = {k} up to "
+                                         f"n = {n} leaves takes up to {mib} MiB, past the "
+                                         "bound of 1,024 MiB$"):
         counting.table(k, n)
     assert built == []
     counting.table(40, 46181)  # the largest convolved table that fits
@@ -203,9 +203,10 @@ def test_table_past_the_memory_bound_is_refused_before_any_build(monkeypatch, k,
     (12, 1000, 3),  # the circuit's 2^13 registers
 ])
 def test_table_past_a_lowered_bound_is_refused(monkeypatch, k, n, mib):
-    monkeypatch.setattr(counting, "MAX_MIB", 1)  # 8,388,608 bits
-    with pytest.raises(ValueError, match=f"takes up to {mib} MiB to build, past the "
-                                         "bound of 1 MiB"):
+    monkeypatch.setattr(cayley, "MAX_MIB", 1)  # 8,388,608 bits
+    with pytest.raises(ValueError, match=f"^building the count table for k = {k} up to "
+                                         f"n = {n} leaves takes up to {mib} MiB, past the "
+                                         "bound of 1 MiB$"):
         table(k, n)
     assert table(k, n // 2).n_max == n // 2
 

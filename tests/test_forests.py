@@ -4,14 +4,16 @@ import pytest
 
 import forest_ref
 from cayley_ref import accepts, letter_inverse, letter_symbol
-from fcayley import counting, forests
+from fcayley import cayley, counting, forests
 from fcayley.cayley import (
+    BudgetExceeded,
     GenAlphabet,
     SerreViolation,
+    ball,
     boundary_report,
     make_alphabet,
 )
-from fcayley.forests import BudgetExceeded, bb_automaton
+from fcayley.forests import bb_automaton
 from forest_ref import MarkedForest, enumerate_bb, find_y0, is_y0_member, parse_forest
 from tree_pairs import LEAF, caret, enumerate_trees
 
@@ -142,20 +144,31 @@ def test_enumerate_bb_matches_dp():
 def test_enumerate_budget_guard(monkeypatch):
     # |BB(8, 3)| = 1,688 forests, inside the default budget of 10^7
     assert len(bb_automaton(8, 3, ALL)) == counting.bb_count(8, 3)
-    with pytest.raises(BudgetExceeded, match=r"\|BB\(40,3\)\| >= 8444322344553 exceeds "
-                                             "budget 10000000"):
+    with pytest.raises(BudgetExceeded, match=r"^BB\(40,3\) has at least 8,444,322,344,553 "
+                                             "forests, past the bound of 10,000,000 forests$"):
         bb_automaton(40, 3, ALL)
-    monkeypatch.setattr(forests, "DEFAULT_BUDGET", 10)
-    with pytest.raises(BudgetExceeded, match=r"\|BB\(8,3\)\| >= .* exceeds budget 10$"):
+    monkeypatch.setattr(cayley, "DEFAULT_BUDGET", 10)
+    # the doubling counts stop at m = 4, |BB(4,3)| = 28 the first past 10
+    with pytest.raises(BudgetExceeded, match=r"^BB\(8,3\) has at least 28 forests, past the "
+                                             "bound of 10 forests$"):
         bb_automaton(8, 3, ALL)
+
+
+def test_one_budget_binds_ball_and_bb(monkeypatch):
+    # ball and bb_automaton both read cayley.DEFAULT_BUDGET when called
+    monkeypatch.setattr(cayley, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="past the bound of 10 leaves$"):
+        ball(2, make_alphabet("x0,x1"))
+    with pytest.raises(BudgetExceeded, match="past the bound of 10 forests$"):
+        bb_automaton(8, 3, make_alphabet("x0,x1"))
 
 
 def test_budget_refused_before_the_table_grows_to_n(monkeypatch):
     grown, table = [], counting.table  # leaf counts the count tables are asked for
     monkeypatch.setattr(counting, "table", lambda k, n: grown.append(n) or table(k, n))
     # |BB(n, 0)| = n, so n > budget refuses without a count
-    with pytest.raises(BudgetExceeded, match=r"\|BB\(10000001,0\)\| >= 10000001 exceeds "
-                                             "budget 10000000"):
+    with pytest.raises(BudgetExceeded, match=r"^BB\(10000001,0\) has at least 10,000,001 "
+                                             "forests, past the bound of 10,000,000 forests$"):
         bb_automaton(10_000_001, 0, ALL)
     assert grown == []
     # a count at a small m already exceeds the budget
@@ -173,17 +186,25 @@ def test_key_text_refused_before_the_tree_table(monkeypatch):
 
     monkeypatch.setattr(forests, "TreeTable", tree_table)
     # BB(60000, 0): 60,000 keys of 120,000 characters, inside the forest budget
-    with pytest.raises(BudgetExceeded, match="pass the bound of 1,024 MiB of key text"):
+    with pytest.raises(BudgetExceeded, match=r"^the keys of BB\(60000,0\) take up to 10,303 "
+                                             "MiB, past the bound of 1,024 MiB$"):
         bb_automaton(60000, 0, make_alphabet("x0,x1"))
     # about 130 MB of keys each: admitted
     for n, k in ((15, 3), (14, 4)):
         with pytest.raises(Built):
             bb_automaton(n, k, make_alphabet("x0,x1,xb1"))
+    # a lowered bound is read at call time
+    monkeypatch.setattr(cayley, "MAX_MIB", 1)
+    with pytest.raises(BudgetExceeded, match=r"^the keys of BB\(14,4\) take up to 125 MiB, "
+                                             "past the bound of 1 MiB$"):
+        bb_automaton(14, 4, make_alphabet("x0,x1,xb1"))
 
 
 def test_budget_message_renders_any_count(monkeypatch):
     monkeypatch.setattr(counting, "bb_count", lambda n, k: 10 ** 5000)
-    with pytest.raises(BudgetExceeded, match=r">= 1(0{5000}) exceeds budget"):
+    # 5,001 digits: past the 4,300 that str() and f"{x:,}" write
+    with pytest.raises(BudgetExceeded, match=r"^BB\(5,2\) has at least 100(,000){1666} forests, "
+                                             "past the bound of 10,000,000 forests$"):
         bb_automaton(5, 2, ALL)
 
 
