@@ -14,10 +14,12 @@ Vertex core.  An automaton is the tuple `keys` (vertex i is keys[i]), in
 the order its builder or file gives, and one flat array `tgt`:
 tgt[i * 2m + j] is the vertex that slot j of vertex i targets, or -1 for a
 boundary slot, slots in `letters` order, so slot (j + m) mod 2m is the
-inverse of slot j.  Builders, the Serre check, reports, the evacuation
-helpers and the file writer work on these integers; key strings are
-rendered once per vertex, and `slots` rows only for tests and tools.  Only
-the file writer orders vertices by key.
+inverse of slot j.  `inverse_column` is the one inverse of a target
+column: the Serre check compares each inverse column with its letter
+column inverted, and `forests` builds inverse letters with it.  Builders,
+the Serre check, reports, the evacuation helpers and the file writer work
+on these integers; key strings are rendered once per vertex, and `slots`
+rows only for tests and tools.  Only the file writer orders vertices by key.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from array import array
 from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress, islice
-from operator import ne
 from types import MappingProxyType
 
 from . import fgroup
@@ -138,6 +139,16 @@ def make_alphabet(spec: str) -> GenAlphabet:
     return GenAlphabet(symbols, values)
 
 
+def inverse_column(col: array) -> array:
+    """The partial map that undoes the target column col (-1 where undefined);
+    where two vertices map to one, the later one wins."""
+    inv = array("i", [-1]) * (len(col) + 1)
+    for v, w in enumerate(col):
+        inv[w] = v  # w = -1 writes the spare last entry
+    inv.pop()
+    return inv
+
+
 class Automaton:
     """Immutable labelled Serre graph on the vertex core `keys`, `tgt`."""
 
@@ -151,16 +162,15 @@ class Automaton:
         self._check_serre()
 
     def _check_serre(self) -> None:
-        """Every slot j of v targeting w is matched by slot j + m of w targeting v."""
+        """Every slot j of v targeting w is matched by slot j + m of w targeting v:
+        each inverse column is its letter column inverted, with as many -1s."""
         m = self.alphabet.m
         tgt, d = self.tgt, 2 * m
         for j in range(m):
             fwd, back = tgt[j::d], tgt[j + m::d]
-            # back[fwd[v]] == v wherever fwd[v] >= 0, and -1 != v elsewhere;
-            # one way, with as many slots each way, makes a bijection
-            back.append(-1)
-            misses = sum(map(ne, map(back.__getitem__, fwd), range(len(fwd))))
-            if not misses == fwd.count(-1) == back.count(-1) - 1:
+            # a letter column mapping two vertices to one has fewer -1s than
+            # its inverse, though the later vertex may be paired
+            if inverse_column(fwd) != back or fwd.count(-1) != back.count(-1):
                 break
         else:
             return
@@ -384,13 +394,9 @@ def automaton_from_obj(obj: dict) -> Automaton:
         outer, listed = frozenset(outer), len(outer)
         if len(outer) != listed or not outer.isdisjoint(index):
             raise AutomatonFormatError("outer keys must be distinct and not vertex keys")
+    # each listed edge fills its slot and its inverse slot: a file may list
+    # an edge from one end or from both
     tgt = array("i", [-1]) * (d * len(vertices))
-    # Default format lists one directed edge per inverse pair and the loader
-    # fills both slots.  With "directed": true every directed edge must be
-    # listed explicitly, and `Automaton` rejects a missing inverse.
-    directed = obj.get("directed", False)
-    if not isinstance(directed, bool):
-        raise AutomatonFormatError(f"directed must be true or false, not {directed!r}")
 
     def set_slot(u: int, j: int, w: int) -> None:
         cur = tgt[u * d + j]
@@ -409,8 +415,7 @@ def automaton_from_obj(obj: dict) -> Automaton:
         if u not in index or w not in index:
             raise AutomatonFormatError(f"edge {entry!r} references unknown vertex")
         set_slot(index[u], slot[a], index[w])
-        if not directed:
-            set_slot(index[w], (slot[a] + d // 2) % d, index[u])
+        set_slot(index[w], (slot[a] + d // 2) % d, index[u])
     return Automaton(alphabet, vertices, tgt, outer)
 
 

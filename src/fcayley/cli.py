@@ -49,15 +49,18 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
         sys.stdout.write(text)
 
 
-def cmd_ball(args) -> int:
-    alphabet = make_alphabet(args.alphabet)
-    aut = ball(args.r, alphabet)
+def _write_automaton(aut, request: dict, args) -> int:
+    """Save aut to --out, then write the request and its boundary report (--report or stdout)."""
     if args.out:
         save_automaton(aut, args.out)
-    _write_json({"command": "ball", "r": args.r, "alphabet": alphabet.spec(),
-                 "out": args.out, "report": boundary_report(aut).as_obj()},
-                args.report, args.no_timestamp)
+    _write_json({**request, "alphabet": aut.alphabet.spec(), "out": args.out,
+                 "report": boundary_report(aut).as_obj()}, args.report, args.no_timestamp)
     return EXIT_OK
+
+
+def cmd_ball(args) -> int:
+    aut = ball(args.r, make_alphabet(args.alphabet))
+    return _write_automaton(aut, {"command": "ball", "r": args.r}, args)
 
 
 def cmd_bb(args) -> int:
@@ -75,13 +78,8 @@ def cmd_bb(args) -> int:
     from . import forests
 
     aut = forests.bb_automaton(args.n, args.k, alphabet)
-    if args.out:
-        save_automaton(aut, args.out)
-    _write_json({"command": "bb", "mode": "enumerate", "n": args.n,
-                 "k": args.k, "alphabet": alphabet.spec(),
-                 "out": args.out, "report": boundary_report(aut).as_obj()},
-                args.report, args.no_timestamp)
-    return EXIT_OK
+    return _write_automaton(aut, {"command": "bb", "mode": "enumerate", "n": args.n,
+                                  "k": args.k}, args)
 
 
 def _parse_int_list(text: str, option: str) -> list[range]:

@@ -18,8 +18,8 @@ of height < k; a forest shape is a tuple of tree numbers, and vertex (s, i),
 shape s marked at tree i, is numbered base[s] + i.  The action is one
 target column per letter, -1 where undefined: x0 is the range v - 1, x1 one
 table lookup per vertex, a token's column indexes the columns of its word's
-steps, and a^-1 is a's column inverted, each column at most once per
-build; multiset copies share columns.
+steps, and a^-1 is a's column inverted by `cayley.inverse_column`, each
+column at most once per build; multiset copies share columns.
 Keys ("(..)*;." with "*" after the marked tree) are rendered once per vertex
 and kept in this shape order; only the file writer sorts them.  A build past
 `cayley.DEFAULT_BUDGET` forests or `cayley.MAX_MIB` of keys is refused first.
@@ -73,15 +73,6 @@ def _split(tt: TreeTable, s: tuple, i: int):
     """x1: split the marked caret and mark its left child."""
     pair = tt.split[s[i]]
     return None if pair is None else (s[:i] + pair + s[i + 1:], i)
-
-
-def _inverse(col: array) -> array:
-    """The partial map that undoes the injective column col (-1 where undefined)."""
-    inv = array("i", [-1]) * (len(col) + 1)
-    for v, w in enumerate(col):
-        inv[w] = v  # w = -1 writes the spare last entry
-    inv.pop()
-    return inv
 
 
 def bb_automaton(n: int, k: int, alphabet: cayley.GenAlphabet) -> cayley.Automaton:
@@ -140,7 +131,7 @@ def bb_automaton(n: int, k: int, alphabet: cayley.GenAlphabet) -> cayley.Automat
 
     def move(g: str, e: int) -> array:
         if (g, e) not in moves:  # x0^-1 inverts x0, once per build
-            moves[g, e] = _inverse(moves[g, -e])
+            moves[g, e] = cayley.inverse_column(moves[g, -e])
         return moves[g, e]
 
     # a token's column indexes the columns of its word's steps (-1 appended
@@ -152,7 +143,7 @@ def bb_automaton(n: int, k: int, alphabet: cayley.GenAlphabet) -> cayley.Automat
         col = move(g, e)
         for step in rest:
             col = array("i", map((move(*step) + array("i", [-1])).__getitem__, col))
-        columns[tok] = col, _inverse(col) if rest else move(g, -e)
+        columns[tok] = col, cayley.inverse_column(col) if rest else move(g, -e)
     m = alphabet.m
     tgt = array("i", [-1]) * (2 * m * total)
     for j, tok in enumerate(alphabet.tokens):

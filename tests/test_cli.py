@@ -203,15 +203,27 @@ def test_certificate_numbers_are_strings_or_integers(tmp_path, capsys):
     assert read_json(out)["bound"] == "1/3"
 
 
-def test_directed_flag_must_be_a_json_boolean(tmp_path, capsys):
-    obj = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"]]}
-    path, out = tmp_path / "aut.json", tmp_path / "evac.json"
-    for flag in ("false", 0, None):
-        path.write_text(json.dumps(dict(obj, directed=flag)))
-        assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, flag
-        assert capsys.readouterr().err.startswith("error: directed must be true or false")
-    path.write_text(json.dumps(dict(obj, directed=False)))
-    assert run(["evac", "--automaton", str(path), "--out", str(out)]) == EXIT_OK
+def test_an_edge_listed_from_both_ends_loads_as_listed_once(tmp_path, capsys):
+    path = tmp_path / "aut.json"
+    assert run(["ball", "--r", "2", "--out", str(path), "--report", os.devnull]) == EXIT_OK
+    obj = read_json(path)
+    one_way = load_automaton(path)
+    assert run(["evac", "--automaton", str(path), "--no-timestamp"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    both = [e for u, a, w in obj["edges"] for e in ([w, a + "^-1", u], [u, a, w])]
+    # a "directed" field is read by no one, whatever its value
+    for extra in ({}, {"directed": True}, {"directed": "yes"}):
+        path.write_text(json.dumps({**obj, **extra, "edges": both}))
+        aut = load_automaton(path)
+        assert (aut.keys, aut.tgt) == (one_way.keys, one_way.tgt), extra
+        assert run(["evac", "--automaton", str(path), "--no-timestamp"]) == EXIT_OK
+        assert capsys.readouterr().out == expected, extra
+    # a listed inverse that names another target is refused
+    u, a, w = obj["edges"][0]
+    other = next(v for v in obj["vertices"] if v not in (u, w))
+    path.write_text(json.dumps({**obj, "edges": obj["edges"] + [[w, a + "^-1", other]]}))
+    assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: duplicate slot ")
 
 
 def test_negative_height_cap_in_count_mode(capsys):

@@ -100,16 +100,17 @@ def test_x2_is_the_conjugated_composition():
 
 
 def test_each_token_is_inverted_once(monkeypatch):
-    calls, inverse = [], forests._inverse
-    monkeypatch.setattr(forests, "_inverse", lambda col: calls.append(col) or inverse(col))
+    calls, inverse = [], cayley.inverse_column
+    monkeypatch.setattr(cayley, "inverse_column", lambda col: calls.append(col) or inverse(col))
     # the moves x0^-1 and x1^-1 are the inverse letters of x0 and x1; xb1 and
-    # x2 have words of more than one step and are inverted once each
+    # x2 have words of more than one step and are inverted once each; the
+    # Serre check then inverts each of the m letter columns
     for spec in ("x0,x1,xb1", "x0,xb1,xb1,x2,x2"):
         calls.clear()
         aut = bb_automaton(8, 3, make_alphabet(spec))
-        assert len(calls) == 3, spec
-    m = aut.alphabet.m  # of x0,xb1,xb1,x2,x2
-    for a, b in ((1, 2), (3, 4)):  # multiset copies get the same columns, both ways
+        m = aut.alphabet.m
+        assert len(calls) == 3 + m, spec
+    for a, b in ((1, 2), (3, 4)):  # copies in x0,xb1,xb1,x2,x2 share columns, both ways
         assert aut.tgt[a::2 * m] == aut.tgt[b::2 * m]
         assert aut.tgt[a + m::2 * m] == aut.tgt[b + m::2 * m]
 

@@ -1,7 +1,8 @@
 """Property tests: group axioms of tree-pair arithmetic, reversibility of
-the forest action and the 12-digit rendering of rationals.  Deterministic
-(derandomized) and bounded in size."""
+the forest action, the inverse of a target column and the 12-digit
+rendering of rationals.  Deterministic (derandomized) and bounded in size."""
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cayley_ref import fraction_decimal_str, letter_inverse  # noqa: E402
-from fcayley.cayley import decimal_str, make_alphabet  # noqa: E402
+from fcayley.cayley import decimal_str, inverse_column, make_alphabet  # noqa: E402
 from fcayley.fgroup import (  # noqa: E402
     IDENTITY,
     X0,
@@ -81,6 +82,20 @@ def test_forest_action_is_reversible(n, k, pick, word):
         assert parse_forest(g).leaves == n and parse_forest(g).max_height() <= k
         assert rows[g][letter_inverse(a)] == path[-1]
         path.append(g)
+
+
+# columns of V targets in -1..V-1, two vertices often mapping to one
+columns = st.integers(0, 12).flatmap(
+    lambda size: st.lists(st.integers(-1, size - 1), min_size=size, max_size=size))
+
+
+@BOUNDED
+@given(columns)
+def test_inverse_column_matches_the_dict_reference(col):
+    inv = inverse_column(array("i", col))
+    ref = {w: v for v, w in enumerate(col) if w >= 0}  # the later source wins
+    assert len(inv) == len(col)
+    assert list(inv) == [ref.get(w, -1) for w in range(len(col))]
 
 
 signs = st.sampled_from((1, -1))
