@@ -2,7 +2,7 @@
 
 Modules:
   fgroup    reduced tree pairs as leaf-depth sequences, key parser and encoder,
-            generators, the order-2 automorphism checked on elements
+            generators
   cayley    alphabet tokens as words in x0 and x1, finite Cayley subgraphs
             (automata), balls, boundary/density reports, exact numbers, files
   forests   Brown-Belk sets BB(n, k), acted on by two moves, x0 and x1, and the

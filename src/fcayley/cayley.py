@@ -356,6 +356,11 @@ def is_edge_entry(entry) -> bool:
 
 
 def automaton_from_obj(obj: dict) -> Automaton:
+    extra = sorted(set(obj) - {"alphabet", "edges", "format", "outer", "values", "vertices"})
+    if extra:
+        raise AutomatonFormatError(f"unknown automaton fields: {extra}")
+    if obj.get("format", FORMAT_NAME) != FORMAT_NAME:
+        raise AutomatonFormatError(f"format must be {FORMAT_NAME!r}, not {obj['format']!r}")
     try:
         symbols, vertices, edges = obj["alphabet"], obj["vertices"], obj["edges"]
     except KeyError as exc:

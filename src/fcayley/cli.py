@@ -14,6 +14,7 @@ import sys
 # counting, evac, forests, csv and datetime are imported where they are used:
 # a job loads only what its subcommand runs
 from .cayley import (
+    BASE_VALUES,
     ball,
     boundary_report,
     exact_str,
@@ -217,7 +218,17 @@ def cmd_selftest(args) -> int:
         for i in range(3) for j in range(i + 1, 4)
     )
     checks.append(("relation x_j x_i = x_i x_{j+1}", rel_ok))
-    checks.append(("order-2 automorphism", fgroup.check_automorphism()["ok"]))
+    # x0 -> x0^-1, x1 -> xb1 on the alphabet's values: the relators
+    # x1^(x0^k) = x1^(x0^(k-1) x1), k = 2, 3, of the two-generator presentation
+    # hold at the images (a, b), the map sends (a, b) back to (x0, x1), and
+    # a, b do not commute
+    a, b = fgroup.invert(fgroup.X0), BASE_VALUES["xb1"]
+    a_inv = fgroup.invert(a)
+    checks.append(("order-2 automorphism", all(
+        fgroup.conjugate(b, fgroup.power(a, k))
+        == fgroup.conjugate(b, fgroup.multiply(fgroup.power(a, k - 1), b)) for k in (2, 3))
+        and (a_inv, fgroup.multiply(b, a_inv)) == (fgroup.X0, fgroup.X1)
+        and fgroup.multiply(a, b) != fgroup.multiply(b, a)))
     b1 = ball(1, make_alphabet("x0,x1"))
     checks.append(("ball(1, {x0,x1}) has 5 vertices", len(b1) == 5))
     rep = boundary_report(b1)

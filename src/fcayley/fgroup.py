@@ -197,41 +197,3 @@ def generator_x(n: int) -> FElement:
     if n == 1:
         return X1
     return conjugate(X1, power(X0, n - 1))
-
-
-# ---------------------------------------------------------------------------
-# The order-2 automorphism, written on the images (a, b) of (x0, x1)
-
-
-def automorphism(a: FElement, b: FElement) -> tuple[FElement, FElement]:
-    """The map x0 -> x0^-1, x1 -> x1 x0^-1 on the images (a, b) of (x0, x1)
-    under a homomorphism phi: (phi(x0^-1), phi(x1 x0^-1)) = (a^-1, b a^-1).
-    At (X0, X1) it gives the images of the generators."""
-    return invert(a), multiply(b, invert(a))
-
-
-def presentation2_relators(a: FElement, b: FElement) -> list[FElement]:
-    """The relators x1^(x0^k) (x1^(x0^(k-1) x1))^-1, k = 2, 3, of the
-    two-generator presentation at x0 = a, x1 = b: all are the identity
-    exactly when x0 -> a, x1 -> b extends to an endomorphism of F."""
-    return [multiply(conjugate(b, power(a, k)),
-                     invert(conjugate(b, multiply(power(a, k - 1), b))))
-            for k in (2, 3)]
-
-
-def check_automorphism() -> dict[str, bool]:
-    """Verify that the map is an order-2 automorphism of F.
-
-    Checks: both relators vanish at the images of x0 and x1, applying the
-    map to its own images gives back x0 and x1, and the images do not
-    commute, so the image of [x0, x1] is nontrivial (the endomorphism is
-    not a collapse onto an abelian quotient).
-    """
-    a, b = automorphism(X0, X1)
-    report = {
-        "relators_preserved": all(r.is_identity() for r in presentation2_relators(a, b)),
-        "involutive_on_generators": automorphism(a, b) == (X0, X1),
-        "commutator_image_nontrivial": multiply(a, b) != multiply(b, a),
-    }
-    report["ok"] = all(report.values())
-    return report

@@ -211,13 +211,16 @@ def test_an_edge_listed_from_both_ends_loads_as_listed_once(tmp_path, capsys):
     assert run(["evac", "--automaton", str(path), "--no-timestamp"]) == EXIT_OK
     expected = capsys.readouterr().out
     both = [e for u, a, w in obj["edges"] for e in ([w, a + "^-1", u], [u, a, w])]
-    # a "directed" field is read by no one, whatever its value
-    for extra in ({}, {"directed": True}, {"directed": "yes"}):
-        path.write_text(json.dumps({**obj, **extra, "edges": both}))
-        aut = load_automaton(path)
-        assert (aut.keys, aut.tgt) == (one_way.keys, one_way.tgt), extra
-        assert run(["evac", "--automaton", str(path), "--no-timestamp"]) == EXIT_OK
-        assert capsys.readouterr().out == expected, extra
+    path.write_text(json.dumps({**obj, "edges": both}))
+    aut = load_automaton(path)
+    assert (aut.keys, aut.tgt) == (one_way.keys, one_way.tgt)
+    assert run(["evac", "--automaton", str(path), "--no-timestamp"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    # "directed" is no automaton field, whatever its value
+    for value in (True, "yes"):
+        path.write_text(json.dumps({**obj, "directed": value, "edges": both}))
+        assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, value
+        assert capsys.readouterr().err == "error: unknown automaton fields: ['directed']\n"
     # a listed inverse that names another target is refused
     u, a, w = obj["edges"][0]
     other = next(v for v in obj["vertices"] if v not in (u, w))
@@ -429,6 +432,17 @@ def test_malformed_automaton_files_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert run(["evac", "--automaton", str(path)]) == EXIT_VALIDATION, name
         assert capsys.readouterr().err.startswith("error: "), name
+    # a misspelled field or a foreign format loses no data without a word
+    saved = tmp_path / "ball.json"
+    assert run(["ball", "--r", "1", "--out", str(saved), "--report", os.devnull]) == EXIT_OK
+    obj = read_json(saved)
+    outers = {k: v for k, v in obj.items() if k != "outer"} | {"outers": obj["outer"]}
+    for fields, message in ((outers, "unknown automaton fields: ['outers']"),
+                            ({**obj, "format": "bogus"},
+                             "format must be 'fcayley-automaton', not 'bogus'")):
+        saved.write_text(json.dumps(fields))
+        assert run(["evac", "--automaton", str(saved)]) == EXIT_VALIDATION, message
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 AUTOMATON = {"alphabet": ["a"], "vertices": ["u", "v"], "edges": [["u", "a", "v"]]}

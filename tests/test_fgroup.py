@@ -8,17 +8,15 @@ from fcayley.fgroup import (
     IDENTITY,
     X0,
     X1,
-    automorphism,
-    check_automorphism,
     conjugate,
     element_from_key,
     generator_x,
     invert,
     multiply,
     power,
-    presentation2_relators,
 )
 from fcayley.cayley import BASE_VALUES
+from known_groups import automorphism, check_automorphism, presentation2_relators
 from tree_pairs import LEAF, caret, parse_tree
 
 

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 import forest_ref
-from cayley_ref import accepts, letter_inverse, letter_symbol
-from fcayley import cayley, counting, forests
+from cayley_ref import accepts, induced_subgraph, letter_inverse, letter_symbol, letter_value
+from fcayley import cayley, counting, fgroup, forests
 from fcayley.cayley import (
     BudgetExceeded,
     GenAlphabet,
@@ -305,6 +305,30 @@ def test_bb_10_4_matches_reference_action(spec):
     # inverse letters are inverted columns; the reference merges directly
     al = make_alphabet(spec)
     assert dict(bb_automaton(10, 4, al).slots) == forest_ref.bb_rows(10, 4, al.letters)
+
+
+@pytest.mark.parametrize("spec", ["x0,x1", "x0,x1,xb1,x2", "x1,xb1,x0,x0"])
+def test_bb_is_induced_by_its_group_values(spec):
+    # label vertex 0 with the identity and each w reached by v -a-> w with
+    # g(v)*a: every edge agrees with the labels, no two vertices share one, and
+    # BB(8, 3) is the subgraph of the Cayley graph of F induced on them
+    al = make_alphabet(spec)
+    aut = bb_automaton(8, 3, al)
+    d = len(al.letters)
+    values = [letter_value(al, a) for a in al.letters]
+    labels = [fgroup.IDENTITY] + [None] * (len(aut) - 1)
+    queue = [0]
+    for v in queue:  # breadth first: the loop reads what it appends
+        for j, w in enumerate(aut.tgt[v * d:v * d + d]):
+            if w < 0:
+                continue
+            g = fgroup.multiply(labels[v], values[j])
+            if labels[w] is None:
+                labels[w] = g
+                queue.append(w)
+            assert labels[w] == g, (aut.keys[v], al.letters[j])
+    assert None not in labels and len(set(labels)) == len(labels)
+    assert induced_subgraph([g.key for g in labels], al).tgt == aut.tgt
 
 
 def test_action_leaving_bb_is_an_error(monkeypatch):
