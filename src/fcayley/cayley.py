@@ -14,12 +14,15 @@ Vertex core.  An automaton is the tuple `keys` (vertex i is keys[i]), in
 the order its builder or file gives, and one flat array `tgt`:
 tgt[i * 2m + j] is the vertex that slot j of vertex i targets, or -1 for a
 boundary slot, slots in `letters` order, so slot (j + m) mod 2m is the
-inverse of slot j.  `inverse_column` is the one inverse of a target
-column: the Serre check compares each inverse column with its letter
-column inverted, and `forests` builds inverse letters with it.  Builders,
-the Serre check, reports, the evacuation helpers and the file writer work
-on these integers; key strings are rendered once per vertex, and `slots`
-rows only for tests and tools.  Only the file writer orders vertices by key.
+inverse of slot j.  Arc e = i * 2m + j is slot j of vertex i: `edge`,
+`arc` and `inverse` of `Automaton` are the one codec of arcs and (source,
+letter, target) triples, and `GenAlphabet.slot` (letter -> j) is built
+with `letters`.  `inverse_column` is the one inverse of a target column:
+the Serre check compares each inverse column with its letter column
+inverted, and `forests` builds inverse letters with it.  Builders, the
+Serre check, reports, the evacuation helpers and the file writer work on
+these integers; key strings are rendered once per vertex, and `slots` rows
+only for tests and tools.  Only the file writer orders vertices by key.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class GenAlphabet:
 
     tokens[j] is symbol j without its copy suffix ("x0@2" -> "x0"), and
     `letters` the symbols, then each symbol + "^-1": slot j + m is the
-    inverse of slot j.
+    inverse of slot j, and `slot` the slot number of each letter.
     """
 
     def __init__(self, symbols: list[str] | tuple[str, ...],
@@ -99,6 +102,7 @@ class GenAlphabet:
         self.symbols = symbols
         self.tokens = tuple(s.split("@", 1)[0] for s in symbols)
         self.letters = symbols + tuple(s + INV for s in symbols)
+        self.slot = {a: j for j, a in enumerate(self.letters)}
         self.values = dict(values) if values else None
         if self.values is not None:
             missing = [s for s in symbols if s not in self.values]
@@ -174,13 +178,11 @@ class Automaton:
                 break
         else:
             return
-        keys, letters = self.keys, self.alphabet.letters
         for e, w in enumerate(tgt):
-            a, b = e % d, (e + m) % d
-            if w >= 0 and tgt[w * d + b] != e // d:
-                v, w = keys[e // d], keys[w]
-                raise SerreViolation(f"edge ({v!r}, {letters[a]!r}, {w!r}) has no inverse "
-                                     f"edge ({w!r}, {letters[b]!r}, {v!r})")
+            if w >= 0 and tgt[self.inverse(e)] != e // d:
+                v, _, w = edge = self.edge(e)
+                b = self.alphabet.letters[(e + m) % d]
+                raise SerreViolation(f"edge {edge!r} has no inverse edge {(w, b, v)!r}")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -198,6 +200,23 @@ class Automaton:
     def __len__(self):
         return len(self.keys)
 
+    def edge(self, e: int) -> tuple[str, str, str]:
+        """The (source, letter, target) triple of the accepted arc e."""
+        d = 2 * self.alphabet.m
+        return self.keys[e // d], self.alphabet.letters[e % d], self.keys[self.tgt[e]]
+
+    def arc(self, u: str, a: str, w: str) -> int:
+        """The arc number of the edge (u, a, w), or -1 for a non-edge or an
+        unknown u, a or w: tgt[index[u] * 2m + slot[a]] == index[w]."""
+        index, slot = self.index, self.alphabet.slot
+        e = index[u] * len(slot) + slot[a] if u in index and a in slot else -1
+        return e if e >= 0 and self.tgt[e] == index.get(w) else -1
+
+    def inverse(self, e: int) -> int:
+        """The arc paired with the accepted arc e: slot (j + m) mod 2m of its target."""
+        d = 2 * self.alphabet.m
+        return self.tgt[e] * d + (e + d // 2) % d
+
     def boundary_flags(self) -> list[bool]:
         """Per vertex number, whether it has a boundary slot."""
         tgt, d = self.tgt, 2 * self.alphabet.m
@@ -209,8 +228,7 @@ class Automaton:
 
     def directed_edges(self) -> list[tuple[str, str, str]]:
         """All accepted directed edges as (source, letter, target) triples."""
-        keys, letters, d = self.keys, self.alphabet.letters, 2 * self.alphabet.m
-        return [(keys[e // d], letters[e % d], keys[w]) for e, w in enumerate(self.tgt) if w >= 0]
+        return [self.edge(e) for e, w in enumerate(self.tgt) if w >= 0]
 
 
 class BoundaryReport(namedtuple("BoundaryReport", "size nu inner_boundary outer_boundary "
@@ -389,9 +407,8 @@ def automaton_from_obj(obj: dict) -> Automaton:
     except ValueError as exc:
         raise AutomatonFormatError(str(exc)) from None
     alphabet = GenAlphabet(symbols, values)
-    letters = alphabet.letters
+    letters, slot = alphabet.letters, alphabet.slot
     d = len(letters)
-    slot = {a: j for j, a in enumerate(letters)}
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise AutomatonFormatError("duplicate vertex keys")

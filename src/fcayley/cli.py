@@ -209,6 +209,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from fractions import Fraction
+
     from . import counting, evac, fgroup, forests
 
     checks: list[tuple[str, bool]] = []
@@ -232,7 +234,9 @@ def cmd_selftest(args) -> int:
     b1 = ball(1, make_alphabet("x0,x1"))
     checks.append(("ball(1, {x0,x1}) has 5 vertices", len(b1) == 5))
     rep = boundary_report(b1)
-    checks.append(("delta + iota = 2m", rep.density + rep.iota == 4))
+    # 3 boundary slots per letter, so delta = (4 * 5 - 12) / 5
+    checks.append(("ball(1, {x0,x1}) boundary: cheeger 12, delta 8/5",
+                   (rep.cheeger, rep.density) == (12, Fraction(8, 5))))
     checks.append(("BB(2,1) count", counting.bb_count(2, 1) == 3
                    and len(forests.bb_automaton(2, 1, make_alphabet("x0,x1"))) == 3))
     checks.append(("ball(1) pure scheme", evac.solve_with_constant(b1, 1).exists))

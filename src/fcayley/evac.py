@@ -13,8 +13,8 @@ the residual search from a vertex v meets no boundary vertex, the set R it
 reached is the witness: R holds only internal vertices, every arc out of R
 is saturated and no arc into R carries flow, so K * |edges out of R| is the
 number of units already routed out of R, at most |R| - 1 because v's unit
-is not among them.  Every helper reads the integer core (`keys`, `index`,
-`tgt`), never the `slots` rows.
+is not among them.  Every helper reads the integer core, never the
+`slots` rows, and edge triples through `Automaton.edge`, `arc` and `inverse`.
 
 The brute-force subset oracle, psi relations and the conjugation
 relabelling, which no subcommand runs, are the test-only `tests/evac_ref.py`.
@@ -84,12 +84,11 @@ SolveResult = namedtuple("SolveResult", "exists scheme witness")  # scheme or wi
 def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
     """Raise SchemeValidationError unless the scheme is a valid evacuation
     scheme on the automaton (purity conditions included when K = 1)."""
-    keys, letters, index, tgt = aut.keys, aut.alphabet.letters, aut.index, aut.tgt
-    d, arc = len(letters), _arc_finder(aut)
+    index, arc = aut.index, aut.arc
     boundary = aut.boundary_flags()
-    if set(scheme.paths) != set(keys):
+    if set(scheme.paths) != set(aut.keys):
         raise SchemeValidationError("scheme must assign a path to every vertex")
-    usage = [0] * len(tgt)  # per arc number
+    usage = [0] * len(aut.tgt)  # per arc number
     for v, path in scheme.paths.items():
         if not path:
             if not boundary[index[v]]:
@@ -113,24 +112,12 @@ def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
             raise SchemeValidationError(
                 f"path of {v!r} ends at {cur!r}, not on the inner boundary")
     for e in compress(range(len(usage)), usage):  # the arcs in use
-        u, a, w = keys[e // d], letters[e % d], tgt[e]
         if usage[e] > scheme.K:
             raise SchemeValidationError(
-                f"edge {(u, a, keys[w])!r} used {usage[e]} > K = {scheme.K} times")
-        if scheme.K == 1 and usage[w * d + (e + d // 2) % d]:
+                f"edge {aut.edge(e)!r} used {usage[e]} > K = {scheme.K} times")
+        if scheme.K == 1 and usage[aut.inverse(e)]:
+            u, a, _ = aut.edge(e)
             raise SchemeValidationError(f"pure scheme uses both ({u!r}, {a!r}) and its inverse")
-
-
-def _arc_finder(aut: Automaton):
-    """(u, a, w) -> arc number of that edge, or -1 for a non-edge or an
-    unknown u, a or w: tgt[index[u] * 2m + slot[a]] == index[w]."""
-    index, tgt = aut.index, aut.tgt
-    slot = {a: j for j, a in enumerate(aut.alphabet.letters)}
-
-    def arc(u, a, w) -> int:
-        e = index[u] * len(slot) + slot[a] if u in index and a in slot else -1
-        return e if e >= 0 and tgt[e] == index.get(w) else -1
-    return arc
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +137,7 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    keys, tgt, d = aut.keys, aut.tgt, 2 * aut.alphabet.m
+    keys, tgt, d, inverse = aut.keys, aut.tgt, 2 * aut.alphabet.m, aut.inverse
     is_boundary = aut.boundary_flags()
     if not any(is_boundary):
         raise NoEvacuationTarget("automaton has no boundary slots")
@@ -170,7 +157,7 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
             e = reached[end]
             end = e // d
             f[e] += 1
-            f[tgt[e] * d + (e + d // 2) % d] -= 1
+            f[inverse(e)] -= 1
     scheme = EvacScheme(K=K, paths=_paths(aut, f, is_boundary))
     validate_scheme(aut, scheme)
     return SolveResult(True, scheme, None)
@@ -199,10 +186,8 @@ def _search(tgt, f, K, d, is_boundary, s) -> tuple[dict[int, int], int]:
 def _paths(aut: Automaton, f, sink) -> dict[str, tuple[Edge, ...]]:
     """Every vertex's path, as edge triples, along the flow f (consumed) to
     the vertices flagged in `sink`; a sink's own path is empty."""
-    keys, letters, tgt, d = aut.keys, aut.alphabet.letters, aut.tgt, 2 * aut.alphabet.m
-    return {keys[s]: tuple((keys[e // d], letters[e % d], keys[tgt[e]])
-                           for e in _walk(tgt, f, d, sink, s))
-            for s in range(len(keys))}
+    keys, tgt, d = aut.keys, aut.tgt, 2 * aut.alphabet.m
+    return {keys[s]: tuple(map(aut.edge, _walk(tgt, f, d, sink, s))) for s in range(len(keys))}
 
 
 def _walk(tgt, f, d, sink, s) -> list[int]:
@@ -272,12 +257,6 @@ def _fraction(x) -> Fraction:
     raise AutomatonFormatError(f"bad rational value {x!r}")
 
 
-def _edge(aut: Automaton, e) -> Edge:
-    """The (source, letter, target) triple of the accepted arc e."""
-    d = 2 * aut.alphabet.m
-    return aut.keys[e // d], aut.alphabet.letters[e % d], aut.keys[aut.tgt[e]]
-
-
 def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
     if not (isinstance(obj, dict) and "C" in obj and "eps" in obj):
         raise AutomatonFormatError("certificate must be an object with C and eps")
@@ -287,19 +266,18 @@ def certificate_from_obj(aut: Automaton, obj: dict) -> FlowCertificate:
         raise AutomatonFormatError(
             "certificate flow must be a list and boundary_inflows an object")
     flow: dict[int, Fraction] = {}
-    arc, tgt, d = _arc_finder(aut), aut.tgt, 2 * aut.alphabet.m
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4 and is_edge_entry(entry[:3])):
             raise AutomatonFormatError(f"bad flow entry {entry!r}")
         u, a, w, val = entry
         val = _fraction(val)
-        e = arc(u, a, w)
+        e = aut.arc(u, a, w)
         if e < 0:
             raise AutomatonFormatError(f"flow on non-edge ({u!r}, {a!r}, {w!r})")
-        for key, v in ((e, val), (tgt[e] * d + (e + d // 2) % d, -val)):  # and its inverse
+        for key, v in ((e, val), (aut.inverse(e), -val)):  # and its inverse
             if key in flow and flow[key] != v:
                 raise AutomatonFormatError(
-                    f"antisymmetry violation on edge {_edge(aut, key)!r}: "
+                    f"antisymmetry violation on edge {aut.edge(key)!r}: "
                     f"{exact_str(flow[key])} vs {exact_str(v)}")
             flow[key] = v
     return FlowCertificate(C=_fraction(obj["C"]), eps=_fraction(obj["eps"]), flow=flow,
@@ -326,9 +304,9 @@ def verify_flow_certificate(aut: Automaton, cert: FlowCertificate) -> Certificat
             failures.append(f"boundary inflow for internal vertex {v!r}")
     over: set[int] = set()  # each edge once, in the direction listed first
     for e, val in cert.flow.items():
-        if abs(val) > cert.C and tgt[e] * d + (e + d // 2) % d not in over:
+        if abs(val) > cert.C and aut.inverse(e) not in over:
             over.add(e)
-            failures.append(f"|f| = {exact_str(abs(val))} > C on edge {_edge(aut, e)!r}")
+            failures.append(f"|f| = {exact_str(abs(val))} > C on edge {aut.edge(e)!r}")
     for v, val in cert.boundary_inflow.items():
         if v in boundary_slots and boundary_slots[v] > 0 and abs(val) > cert.C * boundary_slots[v]:
             failures.append(

@@ -8,13 +8,18 @@ relators of the two-generator presentation (Cannon, Floyd & Parry 1996).
 
 `cayley_ball` builds the ball of any group from its multiply function and
 the values of the letters of an alphabet such as `GenAlphabet(("a", "b"))`,
-which binds no F values, through `cayley_ref.automaton_from_rows`.  The
-free group F2 and Z^2 are the two built here: in F2 the ball B_r has
-2*3^r - 1 elements and 4*3^r boundary edges, in the l1 ball of Z^2 there are
-2r^2 + 2r + 1 elements and 8r + 4 boundary edges.
+which binds no F values, and `induced` the induced subgraph on any finite
+set of elements, both through `cayley_ref.automaton_from_rows`.  The free
+group F2, Z^2 and the lamplighter group are built here: in F2 the ball B_r
+has 2*3^r - 1 elements and 4*3^r boundary edges, in the l1 ball of Z^2 there
+are 2r^2 + 2r + 1 elements and 8r + 4 boundary edges, and the lamplighter
+box Y_n (lamps and lamplighter within {0..n}) has (n+1)*2^(n+1) elements
+and 2^(n+2) boundary edges, the t-edges that leave it at each end.
 """
 
 from __future__ import annotations
+
+from itertools import compress, product
 
 from cayley_ref import automaton_from_rows
 from fcayley.cayley import Automaton, GenAlphabet
@@ -80,8 +85,17 @@ def cayley_ball(r: int, alphabet: GenAlphabet, mul, identity, values) -> Automat
                     new.append(h)
         ball += new
         sphere = new
+    return induced(alphabet, mul, ball, values)
+
+
+def induced(alphabet: GenAlphabet, mul, elements, values) -> Automaton:
+    """The induced subgraph of the right Cayley graph on the distinct
+    `elements`, in the order given, with `values` as in `cayley_ball`;
+    vertex keys are `str` of the elements, and the products outside are
+    outer."""
+    found = set(elements)
     rows, outer = {}, set()
-    for g in ball:
+    for g in elements:
         row = {a: mul(g, v) for a, v in zip(alphabet.letters, values)}
         outer.update(str(h) for h in row.values() if h not in found)
         rows[str(g)] = {a: str(h) if h in found else None for a, h in row.items()}
@@ -110,3 +124,21 @@ def free_ball(r: int, alphabet: GenAlphabet) -> Automaton:
 def z2_ball(r: int, alphabet: GenAlphabet) -> Automaton:
     """l1 ball of radius r in Z^2 on the two symbols of the alphabet."""
     return cayley_ball(r, alphabet, z2_multiply, (0, 0), ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+def lamp_multiply(x: tuple[frozenset, int], y: tuple[frozenset, int]) -> tuple[frozenset, int]:
+    """Product in the lamplighter group Z/2 wr Z of (lit lamps, position)
+    pairs: y's lamps, shifted by x's position, toggle x's."""
+    (f, p), (g, q) = x, y
+    return f ^ frozenset(i + p for i in g), p + q
+
+
+def lamp_box(n: int, alphabet: GenAlphabet) -> Automaton:
+    """The box Y_n = {(f, p) : f a subset of {0..n}, 0 <= p <= n} of the
+    lamplighter group, with t = (no lamps, 1) on the first symbol of the
+    alphabet and s = ({0}, 0), its own inverse, on the second: s toggles the
+    lamp at p."""
+    t, s = (frozenset(), 1), (frozenset({0}), 0)
+    elements = [(frozenset(compress(range(n + 1), bits)), p)
+                for bits in product((0, 1), repeat=n + 1) for p in range(n + 1)]
+    return induced(alphabet, lamp_multiply, elements, (t, s, (frozenset(), -1), s))

@@ -35,7 +35,9 @@ from cayley_ref import (
     letter_value,
     restrict,
 )
+from fcayley.evac import blocked_chain_automaton
 from fcayley.forests import bb_automaton
+from known_groups import free_ball, lamp_box, z2_ball
 
 
 def test_letter_inverse():
@@ -457,3 +459,36 @@ def test_ball_matches_naive_build(spec):
         assert sorted(aut.keys) == sorted(rows), (spec, r)
         assert dict(aut.slots) == rows, (spec, r)
         assert aut.outer == outer, (spec, r)
+
+
+CODEC_CORPUS = {
+    "blocked chain": blocked_chain_automaton,
+    "BB(6,3) x0,x1,xb1": lambda: bb_automaton(6, 3, make_alphabet("x0,x1,xb1")),
+    "ball(3) x0,x0,x1": lambda: ball(3, make_alphabet("x0,x0,x1")),
+    "F2 ball(3)": lambda: free_ball(3, GenAlphabet(("a", "b"))),
+    "Z2 ball(3)": lambda: z2_ball(3, GenAlphabet(("a", "b"))),
+    "lamplighter box Y_3": lambda: lamp_box(3, GenAlphabet(("a", "b"))),
+}
+
+
+@pytest.mark.parametrize("build", CODEC_CORPUS.values(), ids=CODEC_CORPUS)
+def test_arc_codec_round_trips(build):
+    aut = build()
+    accepted = [e for e, w in enumerate(aut.tgt) if w >= 0]
+    for e in accepted:
+        v, a, w = aut.edge(e)
+        assert aut.arc(v, a, w) == e
+        assert aut.inverse(aut.inverse(e)) == e
+        assert aut.edge(aut.inverse(e)) == (w, letter_inverse(a), v)
+    # inverse permutes the accepted arcs, so edge never reads a boundary slot
+    assert sorted(map(aut.inverse, accepted)) == accepted
+    # each miss: an unknown vertex, an unknown letter, a wrong target, and
+    # every boundary slot whatever the target
+    v, a, w = aut.edge(accepted[0])
+    other = next(x for x in aut.keys if x != w)
+    assert aut.arc("no such vertex", a, w) == aut.arc(v, "no such letter", w) == -1
+    assert aut.arc(v, a, "no such vertex") == aut.arc(v, a, other) == -1
+    letters = aut.alphabet.letters
+    for e in (e for e, w in enumerate(aut.tgt) if w < 0):
+        u = aut.keys[e // len(letters)]
+        assert all(aut.arc(u, letters[e % len(letters)], x) == -1 for x in aut.keys[:8])

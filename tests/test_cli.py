@@ -343,6 +343,18 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_fails_on_a_wrong_boundary_count(monkeypatch, capsys):
+    from fcayley import cli
+
+    report = cli.boundary_report
+    monkeypatch.setattr(cli, "boundary_report",
+                        lambda aut: (rep := report(aut))._replace(cheeger=rep.cheeger + 7))
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  ball(1, {x0,x1}) boundary: cheeger 12, delta 8/5\n" in out
+    assert out.count("FAIL") == 1
+
+
 def test_evac_deterministic_bytes(tmp_path):
     aut_path = tmp_path / "chain.json"
     save_automaton(evac.blocked_chain_automaton(), aut_path)
