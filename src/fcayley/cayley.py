@@ -42,6 +42,7 @@ INV = "^-1"
 # Bounds of requests, read from this module at call time; no option sets them
 DEFAULT_BUDGET = 10_000_000  # forests of one BB(n, k), leaves of one ball's elements
 MAX_MIB = 1024  # a count table while it is built, a sweep's records, the keys of BB(n, k)
+MAX_RECORDS = 100_000  # records of one sweep; MAX_MIB bounds their size
 
 
 class SerreViolation(ValueError):
@@ -53,7 +54,7 @@ class AutomatonFormatError(ValueError):
 
 
 class BudgetExceeded(ValueError):
-    """A request would pass one of the bounds above, or `cli.MAX_RECORDS`."""
+    """A request would pass one of the bounds above."""
 
 
 def refusal(subject: str, amount: int, unit: str, bound: int) -> BudgetExceeded:

@@ -28,12 +28,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_REJECTED = 3
 
-# the first letter columns of a sweep CSV; other letters follow in order of appearance
-NU_COLUMNS = [
-    "x0", "x0^-1", "x1", "x1^-1", "xb1", "xb1^-1", "x2", "x2^-1",
-    "x0@2", "x0@2^-1",
-]
-MAX_RECORDS = 100_000  # records of one sweep; cayley.MAX_MIB bounds their size
+# the first letter columns of a sweep CSV, each letter beside its inverse; other
+# letters follow in order of appearance
+_CSV_ALPHABET = make_alphabet("x0,x1,xb1,x2,x0")
+NU_COLUMNS = [a for j in range(_CSV_ALPHABET.m) for a in _CSV_ALPHABET.letters[j::_CSV_ALPHABET.m]]
 
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
@@ -105,27 +103,6 @@ def _parse_int_list(text: str, option: str) -> list[range]:
     return out
 
 
-def sweep_records(k_values, n_values, alphabet_specs):
-    """Density/xi/p records over a (k, n, alphabet) grid, ordered as nested loops."""
-    from . import counting
-
-    # every cap and n is checked before the first table is built
-    if min(n_values) < 1:
-        raise ValueError("n must be positive")
-    for k in k_values:
-        counting.check_table(k, max(n_values))
-    symbols = [make_alphabet(spec).symbols for spec in alphabet_specs]
-    return [rec for k in k_values for rec in _sweep_k(k, n_values, symbols)]
-
-
-def _sweep_k(k, n_values, symbols):
-    """The records of one height cap, off one table that is freed on return."""
-    from . import counting
-
-    t = counting.table(k, max(n_values))  # built for the largest n
-    return [counting.density_report(t, n, syms) for n in n_values for syms in symbols]
-
-
 def _sweep_csv(records, path) -> None:
     import csv
 
@@ -144,7 +121,7 @@ def _sweep_csv(records, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    from . import cayley
+    from . import counting
 
     k_ranges = _parse_int_list(args.k, "--k")
     n_ranges = _parse_int_list(args.n, "--n")
@@ -153,22 +130,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("no alphabets given")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
-    # counted from the range ends, before any list is built
-    ks = sum(r.stop - r.start for r in k_ranges)
-    grid = ks * len(specs) * sum(r.stop - r.start for r in n_ranges)
-    if grid > MAX_RECORDS:
-        raise cayley.refusal("the sweep grid has", grid, "records", MAX_RECORDS)
-    # a record over m letters holds 2m + 9 exact numbers, and one of n leaves takes
-    # up to 2n bytes (2n bits, 0.6n digits in a string and in the output text),
-    # 320 more as objects: sum (2n + 320) over lo..hi is (lo + hi + 320)(hi - lo + 1)
-    size = ks * sum(2 * len(make_alphabet(spec).symbols) + 9 for spec in specs) * sum(
-        (r.start + r.stop - 1 + 320) * (r.stop - r.start) for r in n_ranges)
-    if size > cayley.MAX_MIB << 20:
-        raise cayley.refusal("the records of the sweep grid take about", -(-size >> 20),
-                             "MiB", cayley.MAX_MIB)
-    k_values = [k for r in k_ranges for k in r]
-    n_values = [n for r in n_ranges for n in r]
-    records = sweep_records(k_values, n_values, specs)
+    records = counting.sweep(k_ranges, n_ranges, specs)
     if args.format == "csv":
         _sweep_csv(records, args.out)
     else:

@@ -25,7 +25,10 @@ nu(a) = nu(a^-1) on DP rows is an identity of the DP, not a check of it;
 the tests check the counts against enumeration and full-array reference
 series.  The request that reads a table builds it once, up to the largest
 n it reads, and passes it to every record it reads off it; `table` refuses
-a build that would pass `cayley.MAX_MIB`, read at call time.  A table with
+a build that would pass `cayley.MAX_MIB`, read at call time.  `sweep` is
+the one runner of a (k, n, alphabet) grid: it refuses a grid past
+`cayley.MAX_RECORDS` records or `cayley.MAX_MIB` of records, checks every
+cap before it builds a table, and holds one table at a time.  A table with
 2^k <= n_max^2/128, the measured crossover, runs the squaring circuit of
 f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k delays,
 each fed its parent's input or its left sibling's output, and 2^k - 1
@@ -133,7 +136,7 @@ def _build_bits(k: int, n: int) -> int:
     return 2 * series
 
 
-def check_table(k: int, n: int) -> None:
+def _check_table(k: int, n: int) -> None:
     """Refuse a count table for a height cap k < 0, up to n < 1 leaves, or
     whose build would pass cayley.MAX_MIB."""
     if n < 1:
@@ -149,7 +152,7 @@ def check_table(k: int, n: int) -> None:
 def table(k: int, n: int) -> CountTable:
     """A new count table for a height cap up to n >= 1 leaves, refused before
     it is built when its build would pass cayley.MAX_MIB."""
-    check_table(k, n)
+    _check_table(k, n)
     return CountTable(k, n)
 
 
@@ -210,6 +213,38 @@ def density_report(t: CountTable, n: int, symbols) -> DensityRecord:
         p=Fraction(t.y0(n), size),
         xi=Fraction(s1 - F[n - 1], size) if n >= 2 else None,
     )
+
+
+def sweep(k_ranges, n_ranges, specs) -> list[DensityRecord]:
+    """The records of a (k, n, alphabet spec) grid, ordered as nested loops.
+    The grid is counted and sized from the range ends before any list is
+    built, and every cap is checked before the first table is built."""
+    ks = sum(r.stop - r.start for r in k_ranges)  # len(range) overflows past 2^63
+    grid = ks * len(specs) * sum(r.stop - r.start for r in n_ranges)
+    if grid > cayley.MAX_RECORDS:
+        raise cayley.refusal("the sweep grid has", grid, "records", cayley.MAX_RECORDS)
+    symbols = [cayley.make_alphabet(spec).symbols for spec in specs]
+    # a record over m letters holds 2m + 9 exact numbers, and one of n leaves takes
+    # up to 2n bytes (2n bits, 0.6n digits in a string and in the output text),
+    # 320 more as objects: sum (2n + 320) over lo..hi is (lo + hi + 320)(hi - lo + 1)
+    size = ks * sum(2 * len(syms) + 9 for syms in symbols) * sum(
+        (r.start + r.stop - 1 + 320) * (r.stop - r.start) for r in n_ranges)
+    if size > cayley.MAX_MIB << 20:
+        raise cayley.refusal("the records of the sweep grid take about", -(-size >> 20),
+                             "MiB", cayley.MAX_MIB)
+    k_values = [k for r in k_ranges for k in r]
+    n_values = [n for r in n_ranges for n in r]
+    if min(n_values) < 1:
+        raise ValueError("n must be positive")
+    n_max = max(n_values)
+    for k in k_values:
+        _check_table(k, n_max)
+    records = []
+    for k in k_values:
+        t = table(k, n_max)  # built for the largest n
+        records += [density_report(t, n, syms) for n in n_values for syms in symbols]
+        del t  # freed before the next cap's table is built
+    return records
 
 
 def catalan(n: int) -> int:

@@ -8,8 +8,7 @@ import pytest
 
 from fcayley import evac
 from fcayley.cayley import load_automaton, save_automaton
-from fcayley.cli import (EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, NU_COLUMNS, build_parser,
-                         main, sweep_records)
+from fcayley.cli import EXIT_OK, EXIT_REJECTED, EXIT_VALIDATION, NU_COLUMNS, build_parser, main
 
 
 def run(args):
@@ -382,13 +381,13 @@ def test_refused_serial_sweep_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(cayley, "MAX_MIB", 2)
     # a table of 2,100 leaves takes 2 MiB to build, within the bound
-    assert len(sweep_records([2, 3], [2100], ["x0"])) == 2
+    assert len(counting.sweep([range(2, 4)], [range(2100, 2101)], ["x0"])) == 2
     built = []
     monkeypatch.setattr(counting, "CountTable", lambda k, n_max: built.append(k) or 1 / 0)
     # k = 2 up to 1,000 leaves fits in 2 MiB, k = 12 needs 3 MiB of circuit registers
     with pytest.raises(ValueError, match="k = 12 up to n = 1000 leaves takes up to 3 MiB, "
                                          "past the bound of 2 MiB$"):
-        sweep_records([2, 12], [1000], ["x0"])
+        counting.sweep([range(2, 3), range(12, 13)], [range(1000, 1001)], ["x0"])
     assert built == []
 
 
@@ -762,6 +761,8 @@ def run_bounded(args):
      "past the bound of 1,024 MiB"),
     (["sweep", "--k", "2", "--n", "1:1000000000"],
      "the sweep grid has 1,000,000,000 records, past the bound of 100,000 records"),
+    (["sweep", "--k", "2", "--n", "1:100000000000000000000"],  # past 2^63: no len(range)
+     "the sweep grid has 100,000,000,000,000,000,000 records, past the bound of 100,000 records"),
     (["sweep", "--k", "0:9", "--n", "1:10000", "--alphabets", "x0;x1", "--out", os.devnull],
      "the sweep grid has 200,000 records, past the bound of 100,000 records"),
     (["sweep", "--k", "0:9", "--n", "55537:65536"],  # 100,000 records of up to 2^17 bits
@@ -779,7 +780,7 @@ def run_bounded(args):
      "BB(40,3) has at least 8,444,322,344,553 forests, past the bound of 10,000,000 forests"),
     (["bb", "--mode", "enumerate", "--n", "60000", "--k", "0"],  # 60,000 forests
      "the keys of BB(60000,0) take up to 10,303 MiB, past the bound of 1,024 MiB"),
-], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-alphabets",
+], ids=["bb", "bb-circuit", "sweep-n", "sweep-grid", "sweep-grid-huge", "sweep-grid-alphabets",
         "sweep-grid-leaves", "sweep-caps", "sweep-k-negative", "sweep-n-zero", "ball",
         "bb-forests", "bb-keys"])
 def test_unbounded_requests_are_refused_at_once(args, message):
