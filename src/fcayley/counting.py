@@ -95,9 +95,7 @@ class CountTable:
                 G.append(out[0] - nxt[1] if k else out[0])
                 R = nxt
         else:
-            # f_(k-1) (f_(-1) = 0) up to its degree 2^(k-1); caps above n_max cannot bind
-            k = min(k, n_max + 1)
-            lower = tree_counts(k - 1, min(n_max, 2 ** (k - 1))) if k else [0]
+            lower = tree_counts(k - 1, n_max) if k else [0]  # f_(k-1), and f_(-1) = 0
             T = [0]  # T = f_(k-1) F
             for n in range(len(F), n_max + 1):
                 T.append(_coef(lower, F, n))

@@ -13,8 +13,9 @@ the residual search from a vertex v meets no boundary vertex, the set R it
 reached is the witness: R holds only internal vertices, every arc out of R
 is saturated and no arc into R carries flow, so K * |edges out of R| is the
 number of units already routed out of R, at most |R| - 1 because v's unit
-is not among them.  Every helper reads the integer core, never the
-`slots` rows, and edge triples through `Automaton.edge`, `arc` and `inverse`.
+is not among them.  With no boundary slots at all, the first search is
+such a v.  Every helper reads the integer core, never the `slots` rows, and
+edge triples through `Automaton.edge`, `arc` and `inverse`.
 
 The brute-force subset oracle, psi relations and the conjugation
 relabelling, which no subcommand runs, are the test-only `tests/evac_ref.py`.
@@ -29,10 +30,6 @@ from itertools import compress
 from .cayley import Automaton, AutomatonFormatError, GenAlphabet, exact_str, is_edge_entry
 
 Edge = tuple[str, str, str]  # (source, letter, target)
-
-
-class NoEvacuationTarget(ValueError):
-    """Automaton with no boundary slots: nowhere to evacuate to."""
 
 
 class SchemeValidationError(ValueError):
@@ -90,11 +87,6 @@ def validate_scheme(aut: Automaton, scheme: EvacScheme) -> None:
         raise SchemeValidationError("scheme must assign a path to every vertex")
     usage = [0] * len(aut.tgt)  # per arc number
     for v, path in scheme.paths.items():
-        if not path:
-            if not boundary[index[v]]:
-                raise SchemeValidationError(
-                    f"empty path at {v!r}, which is not a boundary vertex")
-            continue
         cur, seen = v, {v}
         for (u, a, w) in path:
             if u != cur:
@@ -139,8 +131,6 @@ def solve_with_constant(aut: Automaton, K: int) -> SolveResult:
         raise ValueError("K must be at least 1")
     keys, tgt, d, inverse = aut.keys, aut.tgt, 2 * aut.alphabet.m, aut.inverse
     is_boundary = aut.boundary_flags()
-    if not any(is_boundary):
-        raise NoEvacuationTarget("automaton has no boundary slots")
     f = [0] * len(tgt)
     for s in range(len(keys)):
         if is_boundary[s]:

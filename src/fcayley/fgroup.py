@@ -189,11 +189,9 @@ X1 = element_from_key("(.(.(..)))|(.((..).))")
 
 
 def generator_x(n: int) -> FElement:
-    """The generator x_n: base pairs for n = 0, 1, conjugates for n >= 2."""
+    """The generator x_n: the base pair for n = 0, else x0^-(n-1) x1 x0^(n-1)."""
     if n < 0:
         raise ValueError("generator index must be nonnegative")
     if n == 0:
         return X0
-    if n == 1:
-        return X1
     return conjugate(X1, power(X0, n - 1))

@@ -101,7 +101,7 @@ def bb_automaton(n: int, k: int, alphabet: cayley.GenAlphabet) -> cayley.Automat
     if text > cayley.MAX_MIB << 20:
         raise cayley.refusal(f"the keys of BB({n},{k}) take up to", -(-text >> 20), "MiB",
                              cayley.MAX_MIB)
-    tt = TreeTable(min(k, n), n)  # a tree with n leaves has height below n
+    tt = TreeTable(k, n)
     shapes = tt.shapes(n)
     base: dict[tuple[int, ...], int] = {}
     keys: list[str] = []

@@ -21,7 +21,6 @@ from fcayley.cayley import INV, Automaton
 from fcayley.evac import (
     Edge,
     EvacScheme,
-    NoEvacuationTarget,
     SchemeValidationError,
     Witness,
     _paths,
@@ -44,8 +43,6 @@ def hall_oracle(aut: Automaton, K: int = 1, guard: int = 20) -> Witness | None:
     internal vertices.
     """
     boundary, tgt, d = aut.boundary_flags(), aut.tgt, 2 * aut.alphabet.m
-    if not any(boundary):
-        raise NoEvacuationTarget("automaton has no boundary slots")
     internal = [v for v, b in enumerate(boundary) if not b]
     if len(internal) > guard:
         raise ValueError(f"{len(internal)} internal vertices exceed the oracle guard {guard}")
@@ -104,8 +101,6 @@ def relation_to_scheme(aut: Automaton, pairs, sinks=None) -> EvacScheme:
         if v not in index:
             raise ValueError(f"sink {v!r} is not a vertex")
         sink[index[v]] = True
-    if not any(sink):
-        raise NoEvacuationTarget("no sinks to evacuate to")
     f = [0] * len(tgt)
     excess = [0] * len(aut.keys)  # the index of each vertex
     for head, tail in pairs:

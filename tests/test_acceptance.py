@@ -230,10 +230,7 @@ def random_injection(rng, n, keep):
 
 def _agreement(aut):
     """Solver/oracle agreement plus re-validation; returns True if checked."""
-    boundary = aut.inner_boundary()
-    if not boundary:
-        return False
-    internal = set(aut.keys) - set(boundary)
+    internal = set(aut.keys) - set(aut.inner_boundary())
     if len(internal) > 12:
         return False
     res = evac.solve_with_constant(aut, 1)
@@ -258,7 +255,7 @@ def test_criterion_7_solver_vs_oracle():
             for inj in partial_injections(n):
                 aut = injections_to_automaton(n, [inj], ("a",))
                 checked += _agreement(aut)
-        assert checked == 1645, checked  # 1798 injections minus 153 permutations
+        assert checked == 1798, checked  # every partial injection, permutations too
 
         # canonical deterministic sample up to 10 vertices, one and two symbols
         rng = random.Random(0)

@@ -145,6 +145,22 @@ def test_evac_command_witness(tmp_path):
     assert read_json(out2)["exists"] is True
 
 
+def test_evac_answers_a_closed_automaton(tmp_path):
+    # p and q joined both ways by a: every slot is taken, none is a boundary slot
+    aut_path, cert_path, out = (tmp_path / name for name in ("aut.json", "cert.json", "o.json"))
+    aut_path.write_text(json.dumps({"alphabet": ["a"], "vertices": ["p", "q"],
+                                    "edges": [["p", "a", "q"], ["q", "a", "p"]]}))
+    assert run(["evac", "--automaton", str(aut_path), "--out", str(out),
+                "--no-timestamp"]) == EXIT_OK
+    obj = read_json(out)
+    assert obj["exists"] is False and obj["witness"] == {"Z": ["p", "q"], "cheeger": 0}
+    # a flow moves inflow between vertices, and no boundary slot adds any
+    cert_path.write_text(json.dumps({"C": "1", "eps": "1/2", "flow": [["p", "a", "q", "1"]]}))
+    assert run(["certify", "--automaton", str(aut_path), "--cert", str(cert_path),
+                "--out", str(out), "--no-timestamp"]) == EXIT_REJECTED
+    assert read_json(out)["failures"] == ["inflow -1 < eps at vertex 'p'"]
+
+
 def test_certify_command(tmp_path):
     from cayley_ref import automaton_from_rows
     from fcayley.cayley import GenAlphabet

@@ -27,7 +27,6 @@ from fcayley.cayley import (
 )
 from fcayley.evac import (
     EvacScheme,
-    NoEvacuationTarget,
     SchemeValidationError,
     blocked_chain_automaton,
     certificate_from_obj,
@@ -129,17 +128,20 @@ def test_pure_scheme_valid_at_higher_K():
     validate_scheme(aut, relaxed)
 
 
-def test_no_boundary_raises():
+def test_closed_automaton_is_its_own_witness():
     # two vertices saturated by a-loops and b-double edges: no boundary slots
-    slots = {
+    closed = {
         "p": {"a": "p", "a^-1": "p", "b": "q", "b^-1": "q"},
         "q": {"b": "p", "b^-1": "p", "a": "q", "a^-1": "q"},
     }
-    aut = abstract(slots, symbols=("a", "b"))
-    with pytest.raises(NoEvacuationTarget):
-        solve_with_constant(aut, 1)
-    with pytest.raises(NoEvacuationTarget):
-        hall_oracle(aut)
+    aut = abstract(closed, symbols=("a", "b"))
+    beside = abstract(dict(closed, z={"a": None, "a^-1": None, "b": None, "b^-1": None}),
+                      symbols=("a", "b"))
+    for K in (1, 10):
+        res = solve_with_constant(aut, K)
+        assert not res.exists and res.scheme is None
+        assert set(res.witness.Z) == {"p", "q"} and res.witness.cheeger == 0
+        assert res.witness == hall_oracle(aut, K) == solve_with_constant(beside, K).witness
 
 
 def test_disconnected_internal_component_blocks():
@@ -554,7 +556,8 @@ def test_validate_scheme_rejects_bad_paths():
          "v2": ()}, "path of 'v1' revisits 'v1'"),
     (4, {"v0": (), "v1": (("v1", "a", "v2"),), "v2": (("v2", "a", "v3"),), "v3": ()},
      "path of 'v1' ends at 'v2', not on the inner boundary"),
-], ids=["missing-vertex", "non-edge", "revisit", "off-boundary"])
+    (3, {"v0": (), "v1": (), "v2": ()}, "path of 'v1' ends at 'v1', not on the inner boundary"),
+], ids=["missing-vertex", "non-edge", "revisit", "off-boundary", "empty-internal"])
 def test_validate_scheme_names_the_fault(n, paths, message):
     with pytest.raises(SchemeValidationError, match=f"^{re.escape(message)}$"):
         validate_scheme(path_automaton(n), EvacScheme(K=1, paths=paths))
