@@ -420,15 +420,6 @@ def automaton_from_obj(obj: dict) -> Automaton:
     # each listed edge fills its slot and its inverse slot: a file may list
     # an edge from one end or from both
     tgt = array("i", [-1]) * (d * len(vertices))
-
-    def set_slot(u: int, j: int, w: int) -> None:
-        cur = tgt[u * d + j]
-        if cur >= 0 and cur != w:
-            raise AutomatonFormatError(
-                f"duplicate slot ({vertices[u]!r}, {letters[j]!r}) targets both "
-                f"{vertices[cur]!r} and {vertices[w]!r}")
-        tgt[u * d + j] = w
-
     for entry in edges:
         if not is_edge_entry(entry):
             raise AutomatonFormatError(f"bad edge entry {entry!r}")
@@ -437,8 +428,14 @@ def automaton_from_obj(obj: dict) -> Automaton:
             raise AutomatonFormatError(f"edge with unknown letter {a!r}")
         if u not in index or w not in index:
             raise AutomatonFormatError(f"edge {entry!r} references unknown vertex")
-        set_slot(index[u], slot[a], index[w])
-        set_slot(index[w], (slot[a] + d // 2) % d, index[u])
+        j, p, q = slot[a], index[u], index[w]
+        for i, v in ((p * d + j, q), (q * d + (j + d // 2) % d, p)):
+            cur = tgt[i]
+            if cur >= 0 and cur != v:
+                raise AutomatonFormatError(f"duplicate slot ({vertices[i // d]!r}, "
+                                           f"{letters[i % d]!r}) targets both "
+                                           f"{vertices[cur]!r} and {vertices[v]!r}")
+            tgt[i] = v
     return Automaton(alphabet, vertices, tgt, outer)
 
 

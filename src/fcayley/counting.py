@@ -34,8 +34,9 @@ f_j S = x S + f_(j-1) (f_(j-1) S), f_0 = x: a binary tree of 2^k delays,
 each fed its parent's input or its left sibling's output, and 2^k - 1
 big-integer additions per coefficient; its registers live only while the
 table is built.  Above that cap it convolves with f_(k-1) (at most 2^(k-1)
-leaves), O(n min(n, 2^k)) products in all.  A count costs O(n); ratios are
-exact Fractions, and decimals appear only in rendered output.
+leaves), O(n min(n, 2^k)) products in all.  _coef is the one coefficient
+routine, for the convolution and every square.  A count costs O(n); ratios
+are exact Fractions, and decimals appear only in rendered output.
 """
 
 from __future__ import annotations
@@ -56,11 +57,9 @@ def _coef(P: list[int], series: list[int], n: int) -> int:
 
 
 def _square_coef(P: list[int], m: int) -> int:
-    """[x^m] P(x)^2, each cross term P[i] P[m-i] (i < m-i) summed once."""
-    lo = max(0, m - len(P) + 1)
-    half = (m - 1) // 2
+    """[x^m] P(x)^2: the middle square plus twice each P[i] P[m-i], i < m-i, read by _coef."""
     mid = P[m // 2] ** 2 if m % 2 == 0 and m // 2 < len(P) else 0
-    return 2 * sum(map(mul, P[lo:half + 1], reversed(P[m - half:m - lo + 1]))) + mid
+    return 2 * _coef(P[:(m + 1) // 2], P, m) + mid
 
 
 def tree_counts(k: int, max_leaves: int) -> list[int]:

@@ -229,14 +229,16 @@ def test_three_vertex_path_automaton():
 
 
 def test_duplicate_slot_rejected():
-    obj = {
-        "alphabet": ["a"],
-        "values": None,
-        "vertices": ["p", "q", "r"],
-        "edges": [["p", "a", "q"], ["p", "a", "r"]],
-    }
-    with pytest.raises(AutomatonFormatError):
-        automaton_from_obj(obj)
+    base = {"alphabet": ["a"], "values": None, "vertices": ["p", "q", "r"]}
+    # a listed slot and the Serre partner of a listed edge, each claimed twice
+    for edges, message in (
+            ([["p", "a", "q"], ["p", "a", "r"]],
+             "duplicate slot ('p', 'a') targets both 'q' and 'r'"),
+            ([["p", "a", "r"], ["q", "a", "r"]],
+             "duplicate slot ('r', 'a^-1') targets both 'p' and 'q'")):
+        with pytest.raises(AutomatonFormatError) as exc:
+            automaton_from_obj({**base, "edges": edges})
+        assert str(exc.value) == message, edges
 
 
 def test_malformed_file(tmp_path):

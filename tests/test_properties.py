@@ -1,6 +1,7 @@
 """Property tests: group axioms of tree-pair arithmetic, reversibility of
-the forest action, the inverse of a target column and the 12-digit
-rendering of rationals.  Deterministic (derandomized) and bounded in size."""
+the forest action, the inverse of a target column, the 12-digit rendering
+of rationals and the coefficient routine of the counting DP.  Deterministic
+(derandomized) and bounded in size."""
 
 from array import array
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cayley_ref import fraction_decimal_str, letter_inverse  # noqa: E402
 from fcayley.cayley import decimal_str, inverse_column, make_alphabet  # noqa: E402
+from fcayley.counting import _coef, _square_coef  # noqa: E402
 from fcayley.fgroup import (  # noqa: E402
     IDENTITY,
     X0,
@@ -125,3 +127,18 @@ def test_decimal_str_rounds_ties_up_and_carries():
     assert decimal_str(Fraction(1234567890125, 10 ** 30)) == "1.23456789013e-18"
     assert decimal_str(Fraction(10 ** 15 - 1)) == "1e+15"
     assert decimal_str(Fraction(10 ** 14 + 1)) == "100000000000000"
+
+
+# coefficient lists of 0 to 40 entries, up to 300 bits each and zeros among them
+series = st.lists(st.one_of(st.just(0), st.integers(-(1 << 300), 1 << 300)), max_size=40)
+
+
+@BOUNDED
+@given(series, series, st.data())
+def test_coef_is_the_naive_double_sum(P, Q, data):
+    n = data.draw(st.integers(0, len(P) + len(Q) + 2))
+    assert _coef(P, Q, n) == sum(p * q for i, p in enumerate(P)
+                                 for j, q in enumerate(Q) if i + j == n)
+    # the square reads each cross term once through _coef: every m, odd ones too
+    for m in range(2 * len(P) + 3):
+        assert _square_coef(P, m) == _coef(P, P, m), m
